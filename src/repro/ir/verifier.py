@@ -9,7 +9,9 @@ Run after construction and after every transformation in tests; it enforces:
 * SSA invariants — each variable has at most one definition, and every use
   is dominated by its definition (φ uses are checked at the end of the
   corresponding predecessor);
-* e-SSA invariants — every π's predicate mentions only visible values.
+* e-SSA invariants — every π's predicate mentions only visible values;
+* call targets — every call names a function of the program (checked by
+  :func:`verify_program`, which sees the whole program).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Dict, Set
 
 from repro.errors import IRVerificationError
 from repro.ir.function import Function, Program
-from repro.ir.instructions import Phi, Pi, Var
+from repro.ir.instructions import Call, Phi, Pi, Var
 
 
 def verify_function(fn: Function) -> None:
@@ -31,6 +33,16 @@ def verify_function(fn: Function) -> None:
 def verify_program(program: Program) -> None:
     for fn in program.functions.values():
         verify_function(fn)
+        _verify_callees(fn, program)
+
+
+def _verify_callees(fn: Function, program: Program) -> None:
+    for label, block in fn.blocks.items():
+        for instr in block.body:
+            if isinstance(instr, Call) and instr.callee not in program.functions:
+                raise IRVerificationError(
+                    f"{fn.name}/{label}: call to unknown function {instr.callee!r}"
+                )
 
 
 def verify_def_use(fn: Function, context: str = "") -> None:

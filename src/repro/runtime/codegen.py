@@ -46,7 +46,7 @@ from repro.ir.instructions import (
     SpeculativeCheck,
     Var,
 )
-from repro.runtime.interpreter import ExecutionResult, ExecutionStats
+from repro.runtime.interpreter import DEFAULT_COSTS, ExecutionResult, ExecutionStats
 from repro.runtime.values import ArrayValue, minij_div, minij_mod
 
 _CMP_PY = {
@@ -306,7 +306,7 @@ class CompiledProgram:
         self.sources: Dict[str, str] = {}
         namespace = {
             "_stats": self.stats,
-            "_costs": dict(__import__("repro.runtime.interpreter", fromlist=["DEFAULT_COSTS"]).DEFAULT_COSTS),
+            "_costs": dict(DEFAULT_COSTS),
             "_div": minij_div,
             "_mod": minij_mod,
             "_ArrayValue": ArrayValue,

@@ -23,6 +23,8 @@ from repro.frontend.parser import parse_source
 from repro.frontend.semantic import check_program
 from repro.frontend.types import INT
 from repro.ir.lowering import lower_program
+from repro.ir.parser import parse_ir_program
+from repro.ir.printer import format_program
 from repro.pipeline import compile_source, run
 from repro.runtime.codegen import compile_to_python
 
@@ -97,12 +99,25 @@ fn main(): int {
 """
 
 
+TWO_FUNCTION_SRC = """
+fn helper(x: int): int { return x + 1; }
+fn main(): int { return helper(41); }
+"""
+
+
 class TestRuntimeBoundaries:
     def test_interpreter_unknown_function(self):
         program = compile_source("fn main(): int { return 1; }")
         with pytest.raises(UnknownFunctionError) as info:
             run(program, "nope")
         assert "nope" in str(info.value)
+
+    def test_interpreter_unknown_callee(self):
+        # Unverified IR text: the call names a function the program lacks.
+        text = format_program(compile_source(TWO_FUNCTION_SRC))
+        program = parse_ir_program(text.replace("call helper", "call nothere"))
+        with pytest.raises(UnknownFunctionError, match="'nothere'"):
+            run(program, "main")
 
     def test_interpreter_call_depth(self):
         program = compile_source(RECURSIVE_SRC)

@@ -263,3 +263,66 @@ fn main(): int {
     def test_profile_off_by_default(self):
         stats = run_main("fn main(): int { return 0; }").stats
         assert stats.block_counts == {}
+
+
+DOWN_SOURCE = """
+fn down(n: int): int {
+  if (n == 0) { return 0; }
+  return down(n - 1) + 1;
+}
+fn main(depth: int): int { return down(depth); }
+"""
+
+
+class TestResources:
+    def test_runs_leave_no_cyclic_garbage(self):
+        """Run-scoped state is freed by reference counting alone: nothing
+        a run builds (frames, decoded code) survives it in a cycle."""
+        import gc
+
+        from repro.bench.corpus import CORPUS
+        from repro.runtime.interpreter import run_program
+
+        programs = [
+            compile_source(p.source())
+            for p in CORPUS
+            if p.name in ("bubbleSort", "Hanoi", "Dhrystone")
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                for program in programs:
+                    run_program(program, "main")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_recursion_depth_480_fits_the_default_limit(self):
+        """At most two Python frames per MiniJ call: a recursion 480 deep
+        completes under CPython's default limit of 1000 (a fresh thread,
+        so the test runner's own stack does not count)."""
+        import sys
+        import threading
+
+        from repro.errors import ReproError
+
+        program = compile_source(DOWN_SOURCE)
+        outcome = {}
+
+        def body():
+            try:
+                outcome["value"] = run(program, "main", [480]).value
+            except ReproError as exc:
+                outcome["error"] = exc
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            thread = threading.Thread(target=body)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert not thread.is_alive()
+        assert outcome == {"value": 480}

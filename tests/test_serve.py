@@ -48,6 +48,16 @@ fn main(): int {
 }
 """
 
+#: About 500k instructions once optimized (600k unoptimized).
+LONG_LOOP_SOURCE = """
+fn main(): int {
+  let s: int = 0;
+  for (let i: int = 0; i < 50000; i = i + 1) { s = s + i % 7; }
+  return s;
+}
+"""
+LONG_LOOP_VALUE = sum(i % 7 for i in range(50000))
+
 TRAP_SOURCE = """
 fn main(): int {
   let a: int[] = new int[4];
@@ -815,20 +825,32 @@ class TestWorkerDrain:
     def test_sigterm_mid_request_flushes_the_response_first(self):
         proc = self.spawn_worker()
         try:
-            frame = {"op": "run", "id": "w2", "source": SUM_SOURCE,
+            # Handshake: once the first answer is back, main() has
+            # installed its drain handler (before that, SIGTERM's default
+            # action would kill the worker).
+            frame = {"op": "run", "id": "w2a", "source": SUM_SOURCE,
+                     "fn": "main", "args": [], "mode": "degraded",
+                     "fuel": 1_000_000}
+            proc.stdin.write(protocol.encode_frame(frame))
+            proc.stdin.flush()
+            assert protocol.decode_frame(proc.stdout.readline())["value"] == 28
+            # About 500k instructions per interpretation, and an optimized
+            # request is interpreted by the differential gate and again
+            # for its answer: SIGTERM lands while the request is in
+            # flight.  The drain must finish it and flush the response
+            # before exiting.
+            frame = {"op": "run", "id": "w2", "source": LONG_LOOP_SOURCE,
                      "fn": "main", "args": [], "mode": "optimized",
                      "fuel": 50_000_000}
             proc.stdin.write(protocol.encode_frame(frame))
             proc.stdin.flush()
-            # Let the worker pick the frame off stdin, then SIGTERM while
-            # the request is in flight: the drain must finish the request
-            # and flush the response before exiting.
-            time.sleep(0.3)
+            time.sleep(0.1)
             proc.send_signal(signal.SIGTERM)
             line = proc.stdout.readline()
             assert line, "response lost on SIGTERM"
             response = protocol.decode_frame(line)
-            assert response["id"] == "w2" and response["value"] == 28
+            assert response["id"] == "w2"
+            assert response["value"] == LONG_LOOP_VALUE
             assert proc.wait(timeout=10) == 0
         finally:
             proc.kill()

@@ -11,7 +11,9 @@ import pytest
 
 from repro.errors import IRVerificationError
 from repro.ir.instructions import Phi, Pi
-from repro.ir.verifier import verify_function
+from repro.ir.parser import parse_ir_program
+from repro.ir.printer import format_program
+from repro.ir.verifier import verify_function, verify_program
 from repro.pipeline import compile_source
 
 SRC = """
@@ -171,3 +173,20 @@ class TestStructuralInvariants:
                     verify_function(fn)
                 return
         raise AssertionError("no block with successors")
+
+
+TWO_FUNCTION_SRC = """
+fn helper(x: int): int { return x + 1; }
+fn main(): int { return helper(41); }
+"""
+
+
+class TestProgramInvariants:
+    def test_call_to_unknown_function(self):
+        # IR text is how the store and the serve worker admit programs.
+        text = format_program(compile_source(TWO_FUNCTION_SRC))
+        program = parse_ir_program(text.replace("call helper", "call nothere"))
+        with pytest.raises(
+            IRVerificationError, match=r"main/entry0: call to unknown function 'nothere'"
+        ):
+            verify_program(program)
