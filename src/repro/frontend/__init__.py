@@ -5,13 +5,12 @@ stands in for the Java programs of the original evaluation: a strongly
 typed language whose array accesses require bounds checks.
 """
 
-from repro.frontend.lexer import Lexer, tokenize
+from repro.frontend.lexer import tokenize
 from repro.frontend.parser import Parser, parse_source
 from repro.frontend.semantic import SemanticInfo, TypeChecker, check_program
 from repro.frontend.types import BOOL, INT, INT_ARRAY, VOID, Type
 
 __all__ = [
-    "Lexer",
     "tokenize",
     "Parser",
     "parse_source",

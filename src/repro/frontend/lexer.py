@@ -1,167 +1,92 @@
-"""Hand-written lexer for MiniJ source text."""
+"""Lexer for MiniJ source text: one compiled regular expression.
+
+Each match of ``_SCANNER`` is one token: the trivia before it
+(whitespace, ``//`` and ``/* */`` comments) and then exactly one named
+group, ``word`` (an identifier, keyword or operator), ``number``,
+``end`` (the end of the input), or one of the error groups: ``open`` (a
+``/*`` that no ``*/`` closes), ``badnum`` (digits running into another
+word character) and ``error`` (any other character). Lines and columns
+come from the offsets of the source's newlines.
+
+A number is a run of decimal digits (``str.isdecimal``, so ``٣`` counts
+and ``²`` does not); an identifier starts with a letter (``str.isalpha``)
+or ``_`` and continues with letters, digits or ``_`` (``str.isalnum``).
+"""
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from bisect import bisect
+from typing import List
 
 from repro.errors import LexError, SourceLocation
 from repro.frontend.tokens import KEYWORDS, Token, TokenKind
 
-# Two-character operators must be attempted before their one-character
-# prefixes, so this table is ordered longest-first.
-_TWO_CHAR_OPERATORS = {
-    "<=": TokenKind.LE,
-    ">=": TokenKind.GE,
-    "==": TokenKind.EQ,
-    "!=": TokenKind.NE,
-    "&&": TokenKind.AND,
-    "||": TokenKind.OR,
-}
+_SCANNER = re.compile(
+    r"""
+    (?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*
+    (?:
+        (?P<open>/\*)
+      | (?P<word>[^\W\d]\w*|[<>=!]=|&&|\|\||[-(){}\[\],:;=+*/%<>!])
+      | (?P<badnum>\d+[^\W\d])
+      | (?P<number>\d+)
+      | (?P<end>\Z)
+      | (?P<error>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_NEWLINE = re.compile("\n")
 
-_ONE_CHAR_OPERATORS = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ",": TokenKind.COMMA,
-    ":": TokenKind.COLON,
-    ";": TokenKind.SEMICOLON,
-    "=": TokenKind.ASSIGN,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "!": TokenKind.NOT,
-}
-
-
-class Lexer:
-    """Converts MiniJ source text into a token stream.
-
-    Supports ``//`` line comments and ``/* ... */`` block comments.
-    """
-
-    def __init__(self, source: str) -> None:
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokenize(self) -> List[Token]:
-        """Lex the entire input, returning tokens terminated by EOF."""
-        return list(self._iter_tokens())
-
-    def _iter_tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_trivia()
-            if self._at_end():
-                yield Token(TokenKind.EOF, "", self._location())
-                return
-            yield self._next_token()
-
-    # ------------------------------------------------------------------
-    # Character-level helpers.
-    # ------------------------------------------------------------------
-
-    def _at_end(self) -> bool:
-        return self._pos >= len(self._source)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self) -> str:
-        ch = self._source[self._pos]
-        self._pos += 1
-        if ch == "\n":
-            self._line += 1
-            self._column = 1
-        else:
-            self._column += 1
-        return ch
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._column)
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments."""
-        while not self._at_end():
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            else:
-                return
-
-    def _skip_block_comment(self) -> None:
-        start = self._location()
-        self._advance()  # '/'
-        self._advance()  # '*'
-        while True:
-            if self._at_end():
-                raise LexError("unterminated block comment", start)
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance()
-                self._advance()
-                return
-            self._advance()
-
-    # ------------------------------------------------------------------
-    # Token-level scanning.
-    # ------------------------------------------------------------------
-
-    def _next_token(self) -> Token:
-        location = self._location()
-        ch = self._peek()
-
-        if ch.isdigit():
-            return self._lex_number(location)
-        if ch.isalpha() or ch == "_":
-            return self._lex_ident_or_keyword(location)
-
-        two = ch + self._peek(1)
-        if two in _TWO_CHAR_OPERATORS:
-            self._advance()
-            self._advance()
-            return Token(_TWO_CHAR_OPERATORS[two], two, location)
-        if ch in _ONE_CHAR_OPERATORS:
-            self._advance()
-            return Token(_ONE_CHAR_OPERATORS[ch], ch, location)
-
-        raise LexError(f"unexpected character {ch!r}", location)
-
-    def _lex_number(self, location: SourceLocation) -> Token:
-        digits = []
-        while not self._at_end() and self._peek().isdigit():
-            digits.append(self._advance())
-        if not self._at_end() and (self._peek().isalpha() or self._peek() == "_"):
-            raise LexError(
-                f"identifier may not start with a digit: {''.join(digits)}{self._peek()!r}",
-                location,
-            )
-        text = "".join(digits)
-        return Token(TokenKind.INT_LITERAL, text, location, value=int(text))
-
-    def _lex_ident_or_keyword(self, location: SourceLocation) -> Token:
-        chars = []
-        while not self._at_end() and (self._peek().isalnum() or self._peek() == "_"):
-            chars.append(self._advance())
-        text = "".join(chars)
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, location)
+#: Keywords and operators by spelling (an operator kind's value is its
+#: spelling); any other word is an identifier.
+_FIXED_WORDS = dict(KEYWORDS)
+_FIXED_WORDS.update((k.value, k) for k in TokenKind if not k.value[0].isalpha())
 
 
 def tokenize(source: str) -> List[Token]:
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source).tokenize()
+    """Lex ``source`` into a token list terminated by EOF."""
+    tokens: List[Token] = []
+    append = tokens.append
+    fixed = _FIXED_WORDS.get
+    ident = TokenKind.IDENT
+    # newlines[n - 1] is the offset just before line n's first character.
+    newlines = [-1]
+    newlines += [match.start() for match in _NEWLINE.finditer(source)]
+    for match in _SCANNER.finditer(source):
+        group = match.lastgroup
+        start = match.start(group)
+        line = bisect(newlines, start)
+        location = SourceLocation(line, start - newlines[line - 1])
+        if group == "word":
+            text = match.group(group)
+            kind = fixed(text)
+            if kind is None:
+                # ``[^\W\d]`` also admits numerals such as ``²`` and ``½``.
+                first = text[0]
+                if not (first.isalpha() or first == "_"):
+                    raise LexError(f"unexpected character {first!r}", location)
+                kind = ident
+            append(Token(kind, text, location))
+        elif group == "number":
+            text = match.group(group)
+            append(Token(TokenKind.INT_LITERAL, text, location, int(text)))
+        elif group == "end":
+            append(Token(TokenKind.EOF, "", location))
+            break  # after trailing trivia ``\Z`` would match once more
+        elif group == "badnum":
+            text = match.group(group)
+            digits, after = text[:-1], text[-1]
+            if after.isalpha() or after == "_":
+                raise LexError(
+                    f"identifier may not start with a digit: {digits}{after!r}",
+                    location,
+                )
+            # A digit or numeral that is not decimal, such as ``²``.
+            after_location = SourceLocation(line, location.column + len(digits))
+            raise LexError(f"unexpected character {after!r}", after_location)
+        elif group == "open":
+            raise LexError("unterminated block comment", location)
+        else:
+            raise LexError(f"unexpected character {match.group(group)!r}", location)
+    return tokens

@@ -10,7 +10,7 @@ what the ABCD algorithm consumes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import SourceLocation
 
@@ -90,12 +90,13 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     ``text`` is the exact source spelling; ``value`` is the parsed integer
-    for :data:`TokenKind.INT_LITERAL` tokens and ``None`` otherwise.
+    for :data:`TokenKind.INT_LITERAL` tokens and ``None`` otherwise.  A
+    named tuple because the lexer builds one per token, at about half the
+    cost of a frozen dataclass.
     """
 
     kind: TokenKind

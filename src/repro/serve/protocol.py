@@ -32,6 +32,12 @@ worker pipe — EOF, a truncated line, non-JSON bytes, a mismatched
 request id — is a protocol violation: the supervisor kills that worker
 and treats the attempt as failed.
 
+A response a worker produced carries ``served``, that worker's request
+count.  With a certificate store, a request for a program the store
+holds is a hit (``"cache": "hit"``, ``"mode": "cached"``): the supervisor
+answers a ``compile`` hit itself, so that response has no ``served``
+field, while a ``run`` hit is executed by a worker.
+
 The supervisor itself may answer a client with ``status`` ``"shed"`` —
 overload backpressure, carrying a ``retry_after`` hint (seconds), the
 shed ``reason`` (``queue-full``, ``degrade-level``,

@@ -2,13 +2,21 @@
 circuit breaking, and graceful degradation.
 
 The supervisor is the process that must never die.  It therefore does no
-compilation work itself: every ``run``/``compile`` request is written to
-a worker subprocess and the response read back under a **supervisor-side
-wall-clock deadline** (a ``select`` timeout on the worker's pipe — not
-``SIGALRM``, which fires in whichever process armed it and so cannot
-bound a *different* process's hang).  A worker that misses its deadline,
-dies, or answers with a malformed frame is SIGKILLed and replaced; the
-request is retried on a fresh worker with bounded exponential backoff.
+compilation work itself: every ``run``/``compile`` request that needs a
+compile or an execution is written to a worker subprocess and the
+response read back under a **supervisor-side wall-clock deadline** (a
+``select`` timeout on the worker's pipe — not ``SIGALRM``, which fires
+in whichever process armed it and so cannot bound a *different*
+process's hang).  A worker that misses its deadline, dies, or answers
+with a malformed frame is SIGKILLed and replaced; the request is retried
+on a fresh worker with bounded exponential backoff.
+
+With a certificate store (``cache_dir``) the supervisor owns the store
+and climbs its zero-trust load ladder itself: parse, verify and
+certificate replay, analysis of durable bytes that runs no user code.  A
+``compile`` hit needs nothing more and is answered by the supervisor, so
+its response has no worker ``served`` count; a ``run`` hit ships the
+proven IR to a worker (mode ``"cached"``) to execute.
 
 When a request's optimized attempts are exhausted, or its function
 fingerprint's circuit breaker is open, the request is served *degraded*:
@@ -88,9 +96,10 @@ class ServeConfig:
     chaos: Optional[Dict[str, Any]] = None
     #: Root of the persistent certificate store (``None`` = no cache).
     #: The supervisor owns the store handle: it loads (and certificate-
-    #: replays) entries, pushes hits to workers for execution, and writes
-    #: entries captured by workers on misses.  Open circuit breakers are
-    #: persisted here too, so a supervisor restart does not forget them.
+    #: replays) entries, answers compile hits itself, pushes run hits to
+    #: workers for execution, and writes entries captured by workers on
+    #: misses.  Open circuit breakers are persisted here too, so a
+    #: supervisor restart does not forget them.
     cache_dir: Optional[str] = None
     #: Overload control (see :mod:`repro.serve.overload`): admission
     #: queue bound, ladder watermarks/window/hysteresis, backpressure
@@ -638,16 +647,21 @@ class Supervisor:
             }
 
         # The pool is being massacred: serve degraded in-process.  This
-        # reuses the worker's own request handler as a plain library call
-        # — same compile path, same response shape, no subprocess.
+        # reuses the worker's own request handler, behind the worker
+        # loop's last-ditch handler, as a plain library call — same
+        # compile path, same response shape, no subprocess, and an
+        # exception becomes a ``failure`` response, never a dead
+        # supervisor.
         from repro.serve import worker as worker_module
 
         self.stats.bump("serve.inline-fallback")
         inline_frame = dict(frame)
         inline_frame["mode"] = "degraded"
-        payload = worker_module._serve_request(inline_frame, None, False, 0)
-        if payload.get("status") == "ok":
+        payload = worker_module._serve_contained(inline_frame, None, False, 0)
+        if payload["status"] == "ok":
             self.stats.bump("serve.degraded")
+        elif payload["status"] == "failure":
+            self.stats.bump("serve.failed")
         payload.update(
             fingerprint=fingerprint,
             attempts=attempts,
@@ -679,12 +693,15 @@ class Supervisor:
     def _serve_cached(
         self, frame: Dict[str, Any], fingerprint: str, store_fp: str
     ) -> Optional[Dict[str, Any]]:
-        """Try to answer from the store; ``None`` means miss (or a hit
-        whose execution dispatch failed) — serve the normal path.
+        """Try to answer from the store; ``None`` means miss (or a run
+        hit whose execution dispatch failed) — serve the normal path.
 
         ``load`` climbs the full zero-trust ladder in the supervisor:
         pure analysis of durable bytes (parse, verify, certificate
-        replay), no user-program execution — that is still pushed to a
+        replay), no user-program execution.  A ``compile`` hit needs
+        nothing more, so the supervisor answers it from the load's
+        result and its response carries no worker ``served`` count.  A
+        ``run`` hit executes user code, so its proven IR is pushed to a
         worker over the request frame as mode ``"cached"``.
         """
         from repro.core.abcd import ABCDConfig
@@ -700,18 +717,31 @@ class Supervisor:
                 # this request falls back to a fresh compile.
                 self.stats.bump("serve.cache.rejected")
             return None
-        wire_extra = {
-            "mode": "cached",
-            "ir": loaded.ir_text,
-            "eliminated": loaded.eliminations,
-        }
-        kind, payload = self._dispatch(frame, "cached", 0, wire_extra=wire_extra)
-        if kind != "response" or payload.get("status") != "ok":
-            # The hit was sound but its execution dispatch failed (worker
-            # death, deadline, ...): never lose the request — fall back
-            # to the ordinary optimized path.
-            self.stats.bump("serve.cache.dispatch-failures")
-            return None
+        if frame["op"] == "compile":
+            payload = {
+                "id": frame["id"],
+                "status": "ok",
+                "op": "compile",
+                "mode": "cached",
+                "report": {
+                    "analyzed": 0,
+                    "eliminated": loaded.eliminations,
+                    "rollbacks": 0,
+                },
+            }
+        else:
+            wire_extra = {
+                "mode": "cached",
+                "ir": loaded.ir_text,
+                "eliminated": loaded.eliminations,
+            }
+            kind, payload = self._dispatch(frame, "cached", 0, wire_extra=wire_extra)
+            if kind != "response" or payload.get("status") != "ok":
+                # The hit was sound but its execution dispatch failed
+                # (worker death, deadline, ...): never lose the request —
+                # fall back to the ordinary optimized path.
+                self.stats.bump("serve.cache.dispatch-failures")
+                return None
         self.stats.bump("serve.cache.hits")
         payload.update(
             fingerprint=fingerprint,

@@ -214,6 +214,26 @@ def _serve_request(
         }
 
 
+def _serve_contained(
+    frame: Dict[str, Any],
+    chaos: Optional[Dict[str, Any]],
+    mem_cap_applied: bool,
+    served: int,
+) -> Dict[str, Any]:
+    """:func:`_serve_request` behind the last-ditch handler: an exception
+    it lets escape becomes one ``internal`` failure response instead of
+    ending the worker loop or the supervisor's inline fallback."""
+    try:
+        return _serve_request(frame, chaos, mem_cap_applied, served)
+    except Exception as exc:
+        return {
+            "id": frame.get("id"),
+            "status": "failure",
+            "reason": "internal",
+            "message": f"{type(exc).__name__}: {exc}",
+        }
+
+
 def _serve_request_body(
     frame: Dict[str, Any],
     chaos: Optional[Dict[str, Any]],
@@ -420,15 +440,7 @@ def main(argv=None) -> int:
             )
             continue
         served += 1
-        try:
-            response = _serve_request(frame, chaos, mem_cap_applied, served)
-        except Exception as exc:  # last-ditch: report, let supervisor retry
-            response = {
-                "id": frame.get("id"),
-                "status": "failure",
-                "reason": "internal",
-                "message": f"{type(exc).__name__}: {exc}",
-            }
+        response = _serve_contained(frame, chaos, mem_cap_applied, served)
         _raw_write(protocol.encode_frame(response))
         if drain["stop"]:
             return 0  # drained: response flushed, exit cleanly

@@ -49,13 +49,8 @@ def source_structure_hash(source: str) -> str:
     """
     from repro.frontend.lexer import tokenize
 
-    hasher = hashlib.sha256()
-    for token in tokenize(source):
-        hasher.update(token.kind.name.encode("utf-8"))
-        hasher.update(b"\x1f")
-        hasher.update(token.text.encode("utf-8"))
-        hasher.update(b"\x1e")
-    return hasher.hexdigest()
+    data = "".join(f"{t.kind.name}\x1f{t.text}\x1e" for t in tokenize(source))
+    return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
 def config_key(config: Optional[ABCDConfig]) -> str:

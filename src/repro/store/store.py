@@ -53,8 +53,6 @@ class LoadResult:
     status: str  # "hit" | "miss"
     fingerprint: str
     program: object = None
-    #: Final optimized IR text (post-removal) — pushed to serve workers.
-    ir_text: Optional[str] = None
     #: Why a present entry was rejected (``None`` for a clean miss).
     reason: Optional[str] = None
     #: Checks whose certificates replayed on a hit.
@@ -63,6 +61,16 @@ class LoadResult:
     @property
     def hit(self) -> bool:
         return self.status == "hit"
+
+    @property
+    def ir_text(self) -> Optional[str]:
+        """The final optimized IR text (post-removal) of a hit, rendered
+        on each access: only a hit that must execute needs it."""
+        if self.program is None:
+            return None
+        from repro.ir.printer import format_program
+
+        return format_program(self.program)
 
 
 @dataclass
@@ -184,14 +192,11 @@ class CertStore:
             self._quarantine(path, fingerprint, outcome.reason)
             self.bump("store.misses")
             return LoadResult("miss", fingerprint, reason=outcome.reason)
-        from repro.ir.printer import format_program
-
         self.bump("store.hits")
         return LoadResult(
             "hit",
             fingerprint,
             program=outcome.program,
-            ir_text=format_program(outcome.program),
             eliminations=outcome.eliminations,
         )
 

@@ -71,6 +71,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"{path}:2:")
 
+    def test_non_decimal_digit_is_a_lex_diagnostic(self, tmp_path, capsys):
+        # ``'²'.isdigit()`` is true, but ``int('²')`` raises ValueError.
+        path = tmp_path / "superscript.mj"
+        path.write_text("fn main(): int { return ²; }", encoding="utf-8")
+        assert main(["optimize", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}:1:25: unexpected character '²'")
+        assert "Traceback" not in err
+
 
 class TestOptimize:
     def test_report_table(self, source_file, capsys):

@@ -500,6 +500,41 @@ class TestCrashRecovery:
         finally:
             sup.shutdown()
 
+    def test_inline_fallback_contains_a_handler_exception(self, monkeypatch):
+        """An exception escaping the request handler in the inline
+        fallback becomes one ``failure`` response, as it does in a
+        worker; the supervisor lives on and answers the next request."""
+        from repro.serve import supervisor as supervisor_module
+        from repro.serve import worker as worker_module
+
+        sup = Supervisor(config=fast_config(workers=1, retries=0))
+        sup.start()
+        original = worker_module._serve_request
+
+        def raise_for_a(frame, *args):
+            if frame["id"] == "a":
+                raise ValueError("handler bug")
+            return original(frame, *args)
+
+        def always_dead(self, frame, mode, attempt):
+            return ("failure", "simulated: every worker is gone")
+
+        monkeypatch.setattr(supervisor_module.Supervisor, "_dispatch", always_dead)
+        monkeypatch.setattr(worker_module, "_serve_request", raise_for_a)
+        try:
+            failed = sup.handle_request({"op": "run", "id": "a", "source": SUM_SOURCE})
+            assert failed["status"] == "failure"
+            assert failed["reason"] == "internal"
+            assert failed["message"] == "ValueError: handler bug"
+            assert failed["inline_fallback"] is True
+            answered = sup.handle_request(
+                {"op": "run", "id": "b", "source": SUM_SOURCE}
+            )
+            assert answered["status"] == "ok" and answered["value"] == 28
+            assert sup.stats.counters["serve.failed"] == 1
+        finally:
+            sup.shutdown()
+
 
 # ----------------------------------------------------------------------
 # Breaker integration: failures open it, open means degraded service,
@@ -588,6 +623,21 @@ class TestServeStdio:
         assert telemetry["counters"]["serve.requests"] == 3
         # The pool was drained on EOF.
         assert telemetry["workers"] == []
+
+    def test_non_decimal_digit_is_a_user_error_not_a_crash(self):
+        # ``'²'.isdigit()`` is true but ``int('²')`` raises: the lexer
+        # must reject the character, not hand it to ``int``.
+        responses, _, _ = self.run_transcript(
+            [
+                {"op": "run", "id": "a", "source": "fn main(): int { return ²; }"},
+                {"op": "run", "id": "b", "source": "fn main(): int { return 7; }"},
+            ]
+        )
+        assert [response["id"] for response in responses] == ["a", "b"]
+        assert responses[0]["status"] == "error"
+        assert responses[0]["error"] == "LexError"
+        assert "unexpected character '²'" in responses[0]["message"]
+        assert responses[1]["status"] == "ok" and responses[1]["value"] == 7
 
     def test_shutdown_op_stops_the_loop(self):
         responses, _, _ = self.run_transcript(
@@ -682,6 +732,62 @@ class TestServeCache:
             # Correct answer, not served from the corrupted entry.
             assert response["status"] == "ok" and response["value"] == 28
             assert response["cache"] != "hit"
+            assert sup.store.counters.get("store.quarantined") == 1
+            assert sup.store.invariant_violations() == 0
+        finally:
+            sup.shutdown()
+
+    def test_compile_hit_is_answered_without_a_worker(self, tmp_path):
+        sup = self.cached_supervisor(tmp_path)
+        try:
+            primed = sup.handle_request(
+                {"op": "compile", "id": "a", "source": SUM_SOURCE}
+            )
+            assert primed["cache"] == "miss-stored"
+            served = [worker.served for worker in sup.pool]
+            hit = sup.handle_request(
+                {"op": "compile", "id": "b", "source": SUM_SOURCE}
+            )
+            assert [worker.served for worker in sup.pool] == served
+            assert hit["status"] == "ok"
+            assert hit["mode"] == "cached" and hit["cache"] == "hit"
+            assert hit["report"]["eliminated"] == primed["report"]["eliminated"] > 0
+            assert "served" not in hit
+            assert sup.store.invariant_violations() == 0
+        finally:
+            sup.shutdown()
+
+    def test_run_hit_still_executes_in_a_worker(self, tmp_path):
+        sup = self.cached_supervisor(tmp_path)
+        try:
+            sup.handle_request({"op": "compile", "id": "a", "source": SUM_SOURCE})
+            served = sum(worker.served for worker in sup.pool)
+            hit = sup.handle_request({"op": "run", "id": "b", "source": SUM_SOURCE})
+            assert hit["cache"] == "hit" and hit["mode"] == "cached"
+            assert hit["value"] == 28
+            assert sum(worker.served for worker in sup.pool) == served + 1
+            assert hit["served"] == served + 1
+        finally:
+            sup.shutdown()
+
+    def test_corrupted_entry_compile_falls_back_to_fresh_compile(self, tmp_path):
+        from repro.robustness.faults import DISK_FAULTS
+
+        sup = self.cached_supervisor(tmp_path)
+        try:
+            primed = sup.handle_request(
+                {"op": "compile", "id": "a", "source": SUM_SOURCE}
+            )
+            fingerprint = next(sup.store.iter_fingerprints())
+            DISK_FAULTS["disk-flip-payload-byte"].corrupt(
+                sup.store.entry_path(fingerprint)
+            )
+            response = sup.handle_request(
+                {"op": "compile", "id": "b", "source": SUM_SOURCE}
+            )
+            assert response["status"] == "ok" and response["mode"] == "optimized"
+            assert response["cache"] == "miss-stored"
+            assert response["report"] == primed["report"]
             assert sup.store.counters.get("store.quarantined") == 1
             assert sup.store.invariant_violations() == 0
         finally:

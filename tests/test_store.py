@@ -137,6 +137,27 @@ class TestFingerprint:
             SUM_SOURCE, config, profile=profile
         )
 
+    def test_corpus_keys_are_pinned(self):
+        """``store_keys_golden.json`` holds the keys of the 15 corpus
+        programs under the default config, without and with inlining, as
+        the store computed them before the lexer became a compiled
+        scanner; entries written then must keep hitting."""
+        from pathlib import Path
+
+        from repro.bench.corpus import CORPUS
+
+        golden = json.loads(
+            (Path(__file__).parent / "store_keys_golden.json").read_text()
+        )
+        observed = {
+            p.name: {
+                "plain": store_fingerprint(p.source(), ABCDConfig()),
+                "inline": store_fingerprint(p.source(), ABCDConfig(), inline=True),
+            }
+            for p in CORPUS
+        }
+        assert observed == golden
+
 
 class TestCacheKeyBehavior:
     def test_hit_and_miss_follow_the_key(self, tmp_path):
