@@ -2,7 +2,7 @@
 """Gate the standard-pipeline sparseness counters against a budget.
 
 Reads ``repro bench --json`` output (stdin or ``--input FILE``), extracts
-three per-program metrics and compares each against
+two per-program metrics and compares each against
 ``benchmarks/perf_budget.json``:
 
 * ``instructions_visited`` for the ``standard-pipeline`` pass — the
@@ -11,17 +11,7 @@ three per-program metrics and compares each against
   the demand-prover traversal budget.  The budgeted values were recorded
   with the unified dual-direction session, which shares one memo across
   both directions and all check sites; regressing past them usually
-  means the sharing broke (e.g. per-site provers came back);
-* ``dbm_cells_relaxed`` from the solver ablation's closure leg — the
-  closure tier's cell-evaluation budget.  Regressing past it usually
-  means the closed-cell memoization broke (e.g. open-cycle values
-  started being re-derived per query).
-
-The budget file also pins ``hybrid_crossover_checks``, the measured
-demand/closure scheduler threshold (``bench_solver_tiers.py``); the
-check fails when it drifts from ``repro.core.backend``'s
-``HYBRID_CROSSOVER_CHECKS`` constant — the two must be updated
-together, with a fresh measurement.
+  means the sharing broke (e.g. per-site provers came back).
 
 A program exceeding its budget by more than the file's ``tolerance``
 (default 20%) fails the check; a program missing from the budget fails
@@ -63,45 +53,6 @@ def measured_solver_steps(bench_results) -> dict:
     return steps
 
 
-def measured_dbm_cells(bench_results) -> dict:
-    """Closure-tier cell evaluations, from the per-program solver
-    ablation (preferred: present in every ``bench --json`` run) or the
-    session counters (a ``--solver=closure`` bench run)."""
-    cells = {}
-    for entry in bench_results:
-        ablation = entry.get("solver_ablation") or {}
-        closure = ablation.get("closure") or {}
-        if "dbm_cells_relaxed" in closure:
-            cells[entry["name"]] = closure["dbm_cells_relaxed"]
-            continue
-        counters = entry.get("session_stats", {}).get("counters", {})
-        if "solver.dbm_cells_relaxed" in counters:
-            cells[entry["name"]] = counters["solver.dbm_cells_relaxed"]
-    return cells
-
-
-def check_crossover(budget: dict):
-    """The scheduler constant and the budget pin must agree."""
-    budgeted = budget.get("hybrid_crossover_checks")
-    if budgeted is None:
-        return ["hybrid_crossover_checks missing from the budget file"]
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from repro.core.backend import HYBRID_CROSSOVER_CHECKS
-
-    print(
-        f"{'crossover':>18}: checks {HYBRID_CROSSOVER_CHECKS:>6} "
-        f"budget {budgeted:>6} "
-        f"{'ok' if budgeted == HYBRID_CROSSOVER_CHECKS else 'FAIL'}"
-    )
-    if budgeted != HYBRID_CROSSOVER_CHECKS:
-        return [
-            f"hybrid_crossover_checks: budget pins {budgeted} but "
-            f"backend.HYBRID_CROSSOVER_CHECKS is {HYBRID_CROSSOVER_CHECKS}; "
-            "re-measure with benchmarks/bench_solver_tiers.py and update both"
-        ]
-    return []
-
-
 def check_metric(label: str, measured: dict, budgeted: dict, tolerance: float):
     failures = []
     for name, value in sorted(measured.items()):
@@ -126,7 +77,7 @@ def check_metric(label: str, measured: dict, budgeted: dict, tolerance: float):
     return failures
 
 
-def check(visits: dict, steps: dict, cells: dict, budget: dict) -> int:
+def check(visits: dict, steps: dict, budget: dict) -> int:
     tolerance = budget.get("tolerance", 0.20)
     failures = check_metric(
         "visited", visits,
@@ -135,28 +86,16 @@ def check(visits: dict, steps: dict, cells: dict, budget: dict) -> int:
     failures += check_metric(
         "steps", steps, budget.get("solver_steps", {}), tolerance,
     )
-    if cells:
-        failures += check_metric(
-            "cells", cells, budget.get("dbm_cells_relaxed", {}), tolerance,
-        )
-    elif budget.get("dbm_cells_relaxed"):
-        failures.append(
-            "dbm_cells_relaxed budgeted but no closure-tier measurements "
-            "found in the bench output"
-        )
-    failures += check_crossover(budget)
     for failure in failures:
         print(f"perf budget exceeded: {failure}", file=sys.stderr)
     return 1 if failures else 0
 
 
-def write_budget(visits: dict, steps: dict, cells: dict, budget: dict) -> None:
+def write_budget(visits: dict, steps: dict, budget: dict) -> None:
     budget["standard_pipeline_instructions_visited"] = {
         name: visits[name] for name in visits
     }
     budget["solver_steps"] = {name: steps[name] for name in steps}
-    if cells:
-        budget["dbm_cells_relaxed"] = {name: cells[name] for name in cells}
     BUDGET_PATH.write_text(json.dumps(budget, indent=2) + "\n")
     print(f"budget refreshed: {BUDGET_PATH}")
 
@@ -191,11 +130,10 @@ def main(argv=None) -> int:
     if not steps:
         print("no solver step counters found in bench output", file=sys.stderr)
         return 1
-    cells = measured_dbm_cells(bench_results)
     if args.write:
-        write_budget(visits, steps, cells, budget)
+        write_budget(visits, steps, budget)
         return 0
-    return check(visits, steps, cells, budget)
+    return check(visits, steps, budget)
 
 
 if __name__ == "__main__":

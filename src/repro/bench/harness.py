@@ -234,47 +234,6 @@ def measure_program(
     return result
 
 
-def solver_ablation(
-    program: BenchmarkProgram,
-    certify: bool = False,
-    backends: Optional[List[str]] = None,
-) -> Dict[str, Dict]:
-    """Static re-analysis of one corpus program under each solver backend.
-
-    Skips the dynamic interpreter harness (identical by construction once
-    the eliminated sets agree) and reports, per backend, the eliminated
-    check set size, the backend cost counters, and whether the eliminated
-    set matches the demand engine's — the equivalence the closure tier
-    must preserve.  ``repro bench --json`` embeds the result per program;
-    ``benchmarks/bench_solver_tiers.py`` derives the hybrid crossover
-    from the same counters.
-    """
-    from repro.core.backend import SOLVER_BACKENDS
-
-    ablation: Dict[str, Dict] = {}
-    demand_ids = None
-    for backend in backends or list(SOLVER_BACKENDS):
-        session = CompilationSession(
-            config=ABCDConfig(certify=certify, solver_backend=backend)
-        )
-        compiled = session.compile(program.source())
-        report = session.optimize(compiled)
-        counters = session.stats.to_json().get("counters", {})
-        eliminated = frozenset(report.eliminated_ids)
-        if demand_ids is None:
-            demand_ids = eliminated
-        ablation[backend] = {
-            "eliminated_checks": len(eliminated),
-            "matches_demand": eliminated == demand_ids,
-            "solver_steps": counters.get("solver.steps.upper", 0)
-            + counters.get("solver.steps.lower", 0),
-            "dbm_cells_relaxed": counters.get("solver.dbm_cells_relaxed", 0),
-            "dbm_rows_closed": counters.get("solver.dbm_rows_closed", 0),
-            "certificates_rejected": report.certificates_rejected,
-        }
-    return ablation
-
-
 def run_corpus(
     config: Optional[ABCDConfig] = None,
     pre: bool = True,

@@ -120,121 +120,6 @@ def is_closed(witness: Witness) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Reconstruction from a closed solver matrix.
-# ----------------------------------------------------------------------
-
-
-class WitnessBuildError(RuntimeError):
-    """The choice structure does not assemble into a witness.
-
-    Raised when a per-vertex justification is missing or inconsistent —
-    in practice only when the producing matrix was corrupted (the
-    builder re-derives nothing itself, so an inconsistent choice cannot
-    silently produce a plausible-but-wrong certificate; a *consistent*
-    corruption still has to survive the independent checker replay).
-    """
-
-
-def witness_from_choices(
-    target: Node,
-    choose,
-    max_nodes: int = 200_000,
-) -> Witness:
-    """Assemble a witness from per-vertex derivation choices.
-
-    This is how the DBM closure tier (:mod:`repro.core.dbm`) certifies
-    its eliminations: the closed matrix is a predecessor structure, and
-    ``choose(vertex)`` reports how the closure justified its bound on
-    ``vertex`` —
-
-    * ``("axiom", rule)`` — a leaf fact (``"source"`` / ``"const-const"``
-      / ``"len-nonneg"``);
-    * ``("edge", edge)`` — a min vertex discharged through the in-edge
-      attaining the minimum;
-    * ``("phi", edges)`` — a φ vertex, one branch per real in-edge.
-
-    The builder carries **no budgets**: the checker telescopes every
-    budget itself from the root query, so the matrix's numeric cells
-    never enter the certificate — exactly the zero-new-trust contract.
-    Revisiting a vertex while it is still active on the build path emits
-    a :class:`CycleWitness` (the closure analog of the demand solver's
-    harmless-cycle leaf).  Closed sub-witnesses are memoized per vertex,
-    so shared derivation tails alias into a DAG the same way the demand
-    solver's memo produces them; open sub-witnesses are rebuilt per
-    context, mirroring the solver's memo policy.
-
-    Iterative, like every other witness walker in this package: a
-    matrix-derived chain is as deep as the program's π/copy chain and
-    must assemble under a pinned interpreter recursion limit.  The stack
-    interleaves ``visit`` frames (resolve one vertex's choice, schedule
-    children) with ``build`` frames (construct the parent once every
-    child slot is filled).
-    """
-    holder: List[Optional[Witness]] = [None]
-    stack: List[tuple] = [("visit", target, holder, 0)]
-    active: set = set()
-    memo: Dict[Node, Witness] = {}
-    visited = 0
-    while stack:
-        op, obj, container, index = stack.pop()
-        if op == "build":
-            ctor, vertex, holders = obj
-            built = ctor([h[0] for h in holders])
-            active.discard(vertex)
-            if is_closed(built):
-                memo[vertex] = built
-            container[index] = built
-            continue
-        vertex = obj
-        cached = memo.get(vertex)
-        if cached is not None:
-            container[index] = cached
-            continue
-        if vertex in active:
-            container[index] = CycleWitness(vertex)
-            continue
-        visited += 1
-        if visited > max_nodes:
-            raise WitnessBuildError(
-                f"witness reconstruction exceeded {max_nodes} nodes"
-            )
-        kind, payload = choose(vertex)
-        if kind == "axiom":
-            container[index] = AxiomWitness(vertex, payload)
-        elif kind == "edge":
-            edge = payload
-            sub_holder: List[Optional[Witness]] = [None]
-
-            def _make_edge(children, vertex=vertex, edge=edge):
-                return EdgeWitness(vertex, edge.source, edge.weight, children[0])
-
-            active.add(vertex)
-            stack.append(("build", (_make_edge, vertex, [sub_holder]), container, index))
-            stack.append(("visit", edge.source, sub_holder, 0))
-        elif kind == "phi":
-            edges = tuple(payload)
-            holders: List[List[Optional[Witness]]] = [[None] for _ in edges]
-
-            def _make_phi(children, vertex=vertex, edges=edges):
-                return PhiWitness(
-                    vertex,
-                    tuple(
-                        (edge.source, edge.weight, sub)
-                        for edge, sub in zip(edges, children)
-                    ),
-                )
-
-            active.add(vertex)
-            stack.append(("build", (_make_phi, vertex, holders), container, index))
-            for edge, sub_holder in zip(reversed(edges), reversed(holders)):
-                stack.append(("visit", edge.source, sub_holder, 0))
-        else:
-            raise WitnessBuildError(f"unknown choice kind {kind!r} at {vertex}")
-    assert holder[0] is not None
-    return holder[0]
-
-
-# ----------------------------------------------------------------------
 # Serialization (deterministic: key order is fixed by construction and
 # every collection is emitted in witness order, which the stabilized
 # inequality-graph iteration makes reproducible across runs).

@@ -33,7 +33,6 @@ import sys
 from typing import Iterator, List, Optional
 
 from repro.core.abcd import ABCDConfig
-from repro.core.backend import SOLVER_BACKENDS
 from repro.core.solver import DEFAULT_MAX_STEPS
 from repro.errors import CompileError, MiniJRuntimeError, ReproError
 from repro.ir.printer import format_function, format_program
@@ -98,18 +97,7 @@ def _add_compile_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_solver_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--solver",
-        choices=list(SOLVER_BACKENDS),
-        default="demand",
-        help="proof engine: demand-DFS, DBM closure, or the measured "
-        "per-function hybrid scheduler",
-    )
-
-
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    _add_solver_flag(parser)
     parser.add_argument(
         "--max-steps",
         type=int,
@@ -155,7 +143,6 @@ def _config_from(args) -> ABCDConfig:
         deadline=getattr(args, "deadline", None),
         strict=getattr(args, "strict", False),
         certify=getattr(args, "certify", False),
-        solver_backend=getattr(args, "solver", "demand"),
     )
 
 
@@ -472,9 +459,7 @@ def cmd_bench(args) -> int:
             for program_def in selected:
                 print(f"measuring {program_def.name}...", file=sys.stderr)
                 # Fresh config per program: PRE flips state on it.
-                config = ABCDConfig(
-                    certify=args.certify, solver_backend=args.solver
-                )
+                config = ABCDConfig(certify=args.certify)
                 results.append(
                     run_benchmark(program_def, config=config, pre=not args.no_pre)
                 )
@@ -495,20 +480,10 @@ def cmd_bench(args) -> int:
         return 1
     if args.json:
         import json
-
-        from repro.bench.harness import solver_ablation
-
-        ablations = {}
-        for program_def in selected[: len(results)]:
-            ablations[program_def.name] = solver_ablation(
-                program_def, certify=args.certify
-            )
         payload = [
             {
                 "name": result.name,
                 "category": result.category,
-                "solver": args.solver,
-                "solver_ablation": ablations.get(result.name),
                 "dynamic_upper_removed": result.dynamic_upper_removed_fraction,
                 "dynamic_total_removed": result.dynamic_total_removed_fraction,
                 "cycle_improvement": result.cycle_improvement,
@@ -600,7 +575,6 @@ def cmd_serve(args) -> int:
         breaker_cooldown=args.breaker_cooldown,
         fuel=args.fuel,
         cache_dir=args.cache_dir,
-        solver=args.solver,
         overload_enabled=not args.no_overload,
         queue_capacity=args.queue_capacity,
         retry_after=args.retry_after,
@@ -837,7 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser = commands.add_parser("bench", help="Figure-6 table")
     bench_parser.add_argument("--names", nargs="*", help="corpus subset")
     bench_parser.add_argument("--no-pre", action="store_true")
-    _add_solver_flag(bench_parser)
     bench_parser.add_argument(
         "--certify",
         action="store_true",
@@ -916,7 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash-isolated compile service (NDJSON over stdin/stdout "
         "or a Unix socket)",
     )
-    _add_solver_flag(serve_parser)
     serve_parser.add_argument(
         "--socket", metavar="PATH",
         help="serve on this Unix socket instead of stdin/stdout",

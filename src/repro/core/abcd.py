@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.core.backend import make_backend, resolve_backend
 from repro.core.constraints import GraphBundle, build_graphs
 from repro.core.graph import Edge, InequalityGraph, Node, const_node, len_node, var_node
 from repro.core.lattice import ProofResult
@@ -59,17 +58,6 @@ class ABCDConfig:
     #: edges stays below ``pre_gain_ratio`` times the check's own frequency
     #: (1.0 = the paper's break-even rule).
     pre_gain_ratio: float = 1.0
-    #: Which solver tier answers the per-check queries: ``"demand"`` —
-    #: the Figure-5 demand-driven engine; ``"closure"`` — the DBM closure
-    #: tier (:mod:`repro.core.dbm`), one matrix row per query source,
-    #: every check answered from the closed matrix; ``"hybrid"`` — pick
-    #: per function by the measured check-density crossover
-    #: (:data:`repro.core.backend.HYBRID_CROSSOVER_CHECKS`).  All three
-    #: eliminate the same checks; the setting trades per-query traversal
-    #: against up-front closure cost.  Participates in the certificate
-    #: store fingerprint (see ``repro.store.fingerprint``), so cached
-    #: entries never alias across solver settings.
-    solver_backend: str = "demand"
     #: Ablation switch: drop the C4/C5 π predicate edges from the graph,
     #: reducing e-SSA to plain SSA value flow (expected: collapse of the
     #: Figure-6 numbers).
@@ -323,19 +311,13 @@ def analyze_checks(
     :class:`~repro.passes.manager.SessionStats`) receives solver
     telemetry counters when provided.
 
-    The queries go through the :class:`~repro.core.backend.SolverBackend`
-    the config's ``solver_backend`` setting selects (per function, via
-    the hybrid scheduler's measured check-density crossover).  On the
-    demand engine, plain mode shares one proof session over the unified
-    dual graph — memo entries earned by one check site (keyed by
-    direction and source vertex) answer later sites for free — while
-    certify mode keeps per-site sessions: witness bytes must not depend
-    on which sites happened to run earlier.  The closure tier instead
-    closes one matrix row per query source up front (``prepare``) and
-    answers every site from the closed matrix.  Local/global scope
-    classification always replays on the demand engine with a same-block
-    edge filter: it is reporting, not elimination, and the filtered
-    traversal has no closure analog.
+    In plain mode all of the function's queries — both directions —
+    share one proof session over the unified dual graph, so memo
+    entries earned by one check site (keyed by direction and source
+    vertex) answer later sites for free.  Certify mode keeps per-site
+    sessions: witness bytes must not depend on which sites happened to
+    run earlier.  Local/global scope classification replays each proof
+    in a fresh session with a same-block edge filter.
     """
     config = config or ABCDConfig()
     if fn.ssa_form != "essa":
@@ -362,40 +344,21 @@ def analyze_checks(
     )
     state = AbcdState(bundle=bundle, gvn=gvn)
 
-    sites = []
+    prove, provers = _proof_session(bundle, config)
     for site in _check_sites(fn):
         if site.kind == "upper" and not config.upper:
             continue
         if site.kind == "lower" and not config.lower:
             continue
-        if (
-            config.hot_checks is not None
-            and site.instr.check_id not in config.hot_checks
-        ):
-            continue
-        sites.append(site)
-
-    backend_name = resolve_backend(config, len(sites))
-    backend = make_backend(
-        backend_name,
-        bundle,
-        config,
-        lambda graph: _new_prover(config, graph),
-        extra_vertices=_query_vertices(bundle, sites),
-    )
-    queries = []
-    for site in sites:
-        _, source, budget = _query_for(bundle, site)
-        queries.append((source, site.target, budget, site.kind))
-    backend.prepare(queries)
-
-    for site in sites:
         check_id = site.instr.check_id
+        if config.hot_checks is not None and check_id not in config.hot_checks:
+            continue
+
         graph, source, budget = _query_for(bundle, site)
         target = site.target
 
         started = time.perf_counter()
-        outcome = backend.prove(source, target, budget, site.kind)
+        outcome = prove(source, target, budget, site.kind)
         record = CheckAnalysis(
             check_id=check_id,
             kind=site.kind,
@@ -412,7 +375,7 @@ def analyze_checks(
             record.cert_source = source
 
         if not outcome.proven and site.kind == "upper" and gvn is not None:
-            retry = _gvn_retry(bundle, gvn, site, budget, backend)
+            retry = _gvn_retry(bundle, gvn, site, budget, prove)
             if retry is not None:
                 other, gvn_outcome = retry
                 record.result = ProofResult.TRUE
@@ -433,22 +396,30 @@ def analyze_checks(
         state.analyses.append(record)
 
     if stats is not None:
-        _collect_solver_stats(stats, backend)
+        _collect_solver_stats(stats, provers)
     return state
 
 
-def _collect_solver_stats(stats, backend) -> None:
-    """Fold the backend's session telemetry into the pass-manager
-    counters: demand sessions report ``solver.steps.*`` / frame-machine
-    sizes, the closure tier ``solver.dbm_*`` cost counters, and every
-    function records which engine the scheduler picked
-    (``solver.backend.<name>``)."""
-    for key, value in backend.counters().items():
-        if key.endswith("_peak"):
-            stats.bump_peak(f"solver.{key}", value)
-        else:
-            stats.bump(f"solver.{key}", value)
-    stats.bump(f"solver.backend.{backend.name}")
+def _collect_solver_stats(stats, provers) -> None:
+    """Fold proof-session telemetry into the pass-manager counters.
+
+    ``getattr`` defaults keep this safe against fault-injected prover
+    doubles that expose only ``steps``/``budget_exhausted``.
+    """
+    frames = 0
+    frontier = 0
+    by_direction = {"upper": 0, "lower": 0}
+    for prover in provers:
+        frames += getattr(prover, "frames_pushed", 0)
+        frontier = max(frontier, getattr(prover, "frontier_peak", 0))
+        directed = getattr(prover, "steps_by_direction", None)
+        if directed:
+            for direction, count in directed.items():
+                by_direction[direction] = by_direction.get(direction, 0) + count
+    stats.bump("solver.frames_pushed", frames)
+    stats.bump_peak("solver.frontier_peak", frontier)
+    for direction, count in by_direction.items():
+        stats.bump(f"solver.steps.{direction}", count)
 
 
 def apply_pre(
@@ -567,6 +538,32 @@ def _new_prover(
     )
 
 
+def _proof_session(bundle: GraphBundle, config: ABCDConfig):
+    """The function's proof session: ``prove(source, target, budget,
+    direction)`` plus the list of provers it opened (for telemetry).
+
+    Plain mode shares one dual-direction session across every query.
+    Certify mode, and bundles without a dual graph, open a fresh
+    per-query session over the direction's own graph.  Provers come
+    from :func:`_new_prover`, which looks ``DemandProver`` up in this
+    module at call time, so the fault harness can substitute it.
+    """
+    shared = None
+    if not config.certify and bundle.dual is not None:
+        shared = _new_prover(config, bundle.dual)
+    provers: List = [] if shared is None else [shared]
+
+    def prove(source: Node, target: Node, budget: int, direction: str):
+        if shared is not None:
+            return shared.demand_prove(source, target, budget, direction=direction)
+        graph = bundle.upper if direction == "upper" else bundle.lower
+        prover = _new_prover(config, graph)
+        provers.append(prover)
+        return prover.demand_prove(source, target, budget)
+
+    return prove, provers
+
+
 def _guarded_pre(
     fn: Function,
     program: Program,
@@ -655,34 +652,20 @@ def _classify_scope(
     return "global"
 
 
-def _query_vertices(bundle: GraphBundle, sites) -> List[Node]:
-    """Every vertex the function's queries may name as source or target:
-    the closure tier registers these in its matrix universe up front
-    (constant check indices, in particular, are reachable only through
-    the virtual const completion, which edge enumeration cannot see).
-    GVN retries query the length of any congruent array, so all of the
-    bundle's array lengths are included."""
-    vertices: List[Node] = [const_node(0)]
-    vertices.extend(len_node(array) for array in sorted(bundle.array_vars))
-    vertices.extend(site.target for site in sites)
-    return vertices
-
-
 def _gvn_retry(
     bundle: GraphBundle,
     gvn,
     site: _CheckSite,
     budget: int,
-    backend,
+    prove,
 ):
     """Section 7.1 (restricted form): on failure against ``len(A)``, retry
     against the lengths of arrays value-congruent to ``A``.
 
     Returns ``(other_array, outcome)`` for the first congruent array whose
-    proof succeeds, else ``None``.  The retry runs on the function's
-    solver backend: the demand engine reuses its dual-direction session
-    (plain mode) or a fresh per-query session (certify mode); the closure
-    tier closes the congruent length's matrix row.
+    proof succeeds, else ``None``.  ``prove`` is the function's proof
+    session (see :func:`_proof_session`): the shared dual-direction
+    session in plain mode, a fresh per-query session in certify mode.
     """
     assert site.array is not None
     congruent = gvn.class_members(site.array)
@@ -690,7 +673,7 @@ def _gvn_retry(
     for other in sorted(congruent):
         if other == site.array or other not in bundle.array_vars:
             continue
-        outcome = backend.prove(len_node(other), target, budget, "upper")
+        outcome = prove(len_node(other), target, budget, "upper")
         if outcome.proven:
             return other, outcome
     return None

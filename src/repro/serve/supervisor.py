@@ -87,10 +87,6 @@ class ServeConfig:
     fuel: int = 50_000_000
     #: Compile degraded in-process when even degraded dispatch fails.
     inline_fallback: bool = True
-    #: Solver backend workers analyze with (``demand``/``closure``/
-    #: ``hybrid``); part of the store fingerprint, so cached entries
-    #: produced under one setting never answer requests under another.
-    solver: str = "demand"
     #: Chaos configuration forwarded to workers via the environment
     #: (``None`` in production: workers then ignore ``"chaos"`` fields).
     chaos: Optional[Dict[str, Any]] = None
@@ -683,7 +679,7 @@ class Supervisor:
 
             return store_fingerprint(
                 frame["source"],
-                ABCDConfig(solver_backend=self.config.solver),
+                ABCDConfig(),
                 standard_opts=True,
                 inline=bool(frame.get("inline", False)),
             )
@@ -707,9 +703,7 @@ class Supervisor:
         from repro.core.abcd import ABCDConfig
 
         self.stats.bump("serve.cache.lookups")
-        loaded = self.store.load(
-            store_fp, ABCDConfig(solver_backend=self.config.solver)
-        )
+        loaded = self.store.load(store_fp, ABCDConfig())
         if not loaded.hit:
             self.stats.bump("serve.cache.misses")
             if loaded.reason is not None:
@@ -805,7 +799,6 @@ class Supervisor:
             "mode": mode,
             "attempt": attempt,
             "fuel": self.config.fuel,
-            "solver": self.config.solver,
         }
         for optional in ("inline", "chaos"):
             if optional in frame:

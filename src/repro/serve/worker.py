@@ -288,9 +288,7 @@ def _serve_request_body(
         else:
             _maybe_inject_chaos(chaos, frame, mem_cap_applied)
             capture = None
-            config = ABCDConfig(
-                solver_backend=str(frame.get("solver", "demand"))
-            )
+            config = ABCDConfig()
             if budget is not None:
                 # The solver's proof-session deadline is capped by the
                 # request budget: compile effort bounded by what the

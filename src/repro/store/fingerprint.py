@@ -7,14 +7,12 @@ output:
   unit, so whitespace and comment edits still hit while any token-level
   edit misses;
 * the **ABCDConfig** — every field that steers analysis or
-  transformation, including ``solver_backend``: demand- and
-  closure-produced entries must never alias across ``--solver``
-  settings even though their eliminations are meant to agree (an
-  aliased hit would mask a backend divergence instead of surfacing
-  it).  ``certify``/``strict``/``certify_quarantine`` are excluded:
-  stored entries are *always* captured under certification (that is
-  what makes loads replayable), so certification flags select a
-  validation posture, not a different optimized program;
+  transformation.  ``certify``/``strict``/``certify_quarantine`` are
+  excluded: stored entries are *always* captured under certification
+  (that is what makes loads replayable), so certification flags select a
+  validation posture, not a different optimized program.  The key also
+  carries the name of the one proof engine, so keys written while the
+  engine was selectable still hit;
 * the **pipeline id** — the registered pass names actually scheduled,
   so enabling inlining or disabling the standard suite misses;
 * the **store schema version** — a format bump orphans old entries
@@ -69,6 +67,8 @@ def config_key(config: Optional[ABCDConfig]) -> str:
         if isinstance(value, (set, frozenset)):
             value = sorted(value)
         payload[spec.name] = value
+    # A former config field, still hashed so existing store keys keep hitting.
+    payload["solver_backend"] = "demand"
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

@@ -5,10 +5,12 @@ graphs (harmless-cycle closures, φ meets, memo budget-subsumption
 reuse), the independent checker's rejection conditions, the revocation
 ladder (single revoke → quarantine → ``--strict`` escalation), PRE
 assumption certificates, deterministic serialization across fresh
-sessions, and corpus-wide zero-rejection certification.
+sessions, and zero-rejection certification of the corpus and of
+generated programs.
 """
 
 import json
+from functools import partial
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.core.abcd import ABCDConfig, ABCDReport
 from repro.core.graph import InequalityGraph, const_node, len_node, var_node
 from repro.core.solver import DemandProver
 from repro.errors import CertificateError
+from repro.fuzz.generator import GeneratorConfig, generate_source
 from repro.ir.instructions import CheckLower, CheckUpper
 from repro.passes.session import CompilationSession
 from repro.pipeline import abcd, compile_source, run
@@ -421,13 +424,36 @@ class TestDeterminism:
         json.dumps(payload)  # must be JSON-serializable as-is
 
 
-@pytest.mark.parametrize("bench", CORPUS, ids=lambda b: b.name)
-def test_corpus_certifies_without_rejection(bench):
+#: Source thunks certified end to end: the 15 corpus programs, four
+#: default-profile generated programs and one 60-deep generated π/copy
+#: chain.
+CERTIFIED_SOURCES = (
+    [pytest.param(bench.source, id=bench.name) for bench in CORPUS]
+    + [
+        pytest.param(partial(generate_source, seed), id=f"generated-{seed}")
+        for seed in (1, 5, 9, 13)
+    ]
+    + [
+        pytest.param(
+            partial(
+                generate_source,
+                3,
+                GeneratorConfig(profile="deep-chain", chain_depth=60),
+            ),
+            id="deep-chain-60",
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("source", CERTIFIED_SOURCES)
+def test_corpus_certifies_without_rejection(source):
     session = CompilationSession(config=ABCDConfig(certify=True))
-    program = session.compile(bench.source())
+    program = session.compile(source())
     report = session.optimize(program)
     assert report.certificates_rejected == 0
     assert report.revoked_count == 0
     assert report.quarantined_functions == []
     # Every elimination carried a certificate and every one was accepted.
     assert report.certificates_accepted == report.eliminated_count()
+    assert report.certificates_accepted > 0  # the input exercised the checker

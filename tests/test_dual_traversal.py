@@ -24,6 +24,7 @@ from repro.bench.corpus import CORPUS
 from repro.certify.driver import certificates_to_json
 from repro.core import abcd as abcd_module
 from repro.core.abcd import ABCDConfig
+from repro.core.lattice import ProofResult
 from repro.fuzz.generator import GeneratorConfig, generate_source
 from repro.pipeline import abcd, compile_source
 
@@ -59,6 +60,7 @@ def _decisions(report):
     traversal never meets the cycle and reports ``TRUE``.  Both
     establish the bound, and nothing downstream of the solver
     distinguishes them (only ``ProofResult.proven`` is consulted).
+    :data:`MEMO_SUBSUMED_LABELS` pins where this happens on the corpus.
     """
     return [
         (
@@ -77,6 +79,40 @@ def _decisions(report):
         )
         for record in report.analyses
     ]
+
+
+#: ``(program, function, check id, kind)`` of the corpus checks that the
+#: plain-mode shared session labels ``REDUCED`` (a memo entry earned
+#: under a looser budget subsumes the query) and certify mode's fresh
+#: per-query sessions label ``TRUE``.
+MEMO_SUBSUMED_LABELS = {
+    ("bubbleSort", "bubble_sort", 7, "upper"),
+    ("biDirBubbleSort", "sort", 19, "upper"),
+    ("bytemark", "numeric_sort", 22, "lower"),
+}
+
+
+def test_plain_and_certify_differ_only_on_memo_subsumed_labels():
+    relabelled = set()
+    for bench in CORPUS:
+        _, plain = _run(bench.source())
+        _, certified = _run(bench.source(), certify=True)
+        labels = {
+            (a.function, a.check_id, a.kind): (a.result, a.eliminated)
+            for a in certified.analyses
+        }
+        assert len(labels) == len(plain.analyses), bench.name
+        for record in plain.analyses:
+            key = (record.function, record.check_id, record.kind)
+            result, eliminated = labels[key]
+            assert record.eliminated == eliminated, (bench.name, key)
+            if record.result != result:
+                assert (record.result, result) == (
+                    ProofResult.REDUCED,
+                    ProofResult.TRUE,
+                ), (bench.name, key)
+                relabelled.add((bench.name,) + key)
+    assert relabelled == MEMO_SUBSUMED_LABELS
 
 
 def _run(source: str, certify: bool = False):

@@ -100,8 +100,6 @@ class TestFingerprint:
             ("upper", False),
             ("lower", False),
             ("allocation_facts", False),
-            ("solver_backend", "closure"),
-            ("solver_backend", "hybrid"),
         ],
     )
     def test_semantic_config_flags_change_the_key(self, field, value):
@@ -173,18 +171,6 @@ class TestCacheKeyBehavior:
         changed = ABCDConfig()
         changed.gvn_mode = "off"
         assert not cached_optimize_source(store, SUM_SOURCE, config=changed).hit
-
-    def test_solver_backend_change_misses(self, tmp_path):
-        # Demand- and closure-produced entries must never alias: an
-        # aliased hit would mask a backend divergence instead of
-        # surfacing it at compile time.
-        store = store_at(tmp_path)
-        populate(store)
-        for backend in ("closure", "hybrid"):
-            changed = ABCDConfig(solver_backend=backend)
-            assert not cached_optimize_source(
-                store, SUM_SOURCE, config=changed
-            ).hit, backend
 
     def test_hit_is_byte_identical_to_fresh_compile(self, tmp_path):
         store = store_at(tmp_path)
