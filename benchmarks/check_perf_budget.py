@@ -13,6 +13,11 @@ two per-program metrics and compares each against
   both directions and all check sites; regressing past them usually
   means the sharing broke (e.g. per-site provers came back).
 
+One budget covers both modes: plain and certify mode open the same
+shared session (certify mode only records witnesses), so the output of
+``repro bench --json`` and of ``repro bench --certify --json`` are each
+checked against the same ``solver_steps`` values.
+
 A program exceeding its budget by more than the file's ``tolerance``
 (default 20%) fails the check; a program missing from the budget fails
 the check — new programs must be budgeted explicitly.  ``--write``

@@ -67,7 +67,12 @@ class AssumeContext:
 
 
 class _Replay:
-    """One top-down replay of a witness tree."""
+    """Top-down replays of witness trees against one graph, one source
+    vertex and one assumption context.
+
+    A replay object may check any number of certificates that share
+    those three: its verified-subtree cache then spans all of them.
+    """
 
     def __init__(
         self,
@@ -78,6 +83,12 @@ class _Replay:
         self._graph = graph
         self._source = source
         self._assume = assume
+        #: id(witness) -> (witness, smallest budget this self-contained
+        #: subtree verified at).  Keyed by identity: the cache exists
+        #: precisely because the producer aliases subtrees.  The value
+        #: holds the witness, so its id cannot be reused while cached.
+        self._verified: Dict[int, Tuple[Witness, int]] = {}
+        # Per-walk state, reset by every :meth:`check`.
         #: vertex -> (telescoped budget, φ count on the path when pushed).
         self._active: Dict[Node, Tuple[int, int]] = {}
         self._phi_count = 0
@@ -90,8 +101,8 @@ class _Replay:
     def _reject(self, message: str) -> None:
         raise CertificateRejected(message)
 
-    def check(self, vertex: Node, budget: int, witness: Witness) -> None:
-        """Replay the witness tree with an explicit work stack.
+    def check(self, vertex: Node, budget: int, witness: Optional[Witness]) -> None:
+        """Replay one certificate with an explicit work stack.
 
         The replay is iterative for the same reason the solver is: a
         deep-chain certificate is as deep as the program's π/copy chain,
@@ -112,13 +123,23 @@ class _Replay:
         computed by the replay itself from the cycle leaves it validated
         (``self._cycle_log``), never trusted from the producer's witness
         objects.
+
+        The cache outlives the call: a self-contained subtree proves
+        ``witness.vertex - source <= budget`` whatever certificate it
+        sits in, so later certificates against the same graph, source
+        and assumption context reuse it.  A hit therefore needs the
+        obligation's vertex to be the one the witness proves, which is
+        tested before the lookup.  The per-walk state (active set, φ
+        count, cycle log) is reset here, because a rejection can leave
+        it mid-walk.
         """
+        if witness is None:
+            raise CertificateRejected("no witness emitted for this elimination")
         stack: list = [("check", vertex, budget, witness)]
-        #: id(witness) -> smallest budget this self-contained subtree
-        #: verified at.  Keyed by identity: the cache exists precisely
-        #: because the producer aliases subtrees.
-        verified: Dict[int, int] = {}
-        self._cycle_log: list = []
+        verified = self._verified
+        self._active = {}
+        self._phi_count = 0
+        self._cycle_log = []
         while stack:
             action = stack.pop()
             if action[0] == "exit":
@@ -138,17 +159,17 @@ class _Replay:
                     self._cycle_log.extend(escaped)
                 if not escaped:
                     prior = verified.get(id(sub))
-                    if prior is None or sub_budget < prior:
-                        verified[id(sub)] = sub_budget
+                    if prior is None or sub_budget < prior[1]:
+                        verified[id(sub)] = (sub, sub_budget)
                 continue
             _, vertex, budget, witness = action
-            prior = verified.get(id(witness))
-            if prior is not None and budget >= prior:
-                continue
             if witness.vertex != vertex:
                 self._reject(
                     f"witness proves {witness.vertex}, obligation is {vertex}"
                 )
+            prior = verified.get(id(witness))
+            if prior is not None and budget >= prior[1]:
+                continue
             if isinstance(witness, AxiomWitness):
                 self._axiom(vertex, budget, witness)
             elif isinstance(witness, CycleWitness):
@@ -377,6 +398,4 @@ def check_witness(
 ) -> None:
     """Raise :class:`CertificateRejected` unless ``witness`` establishes
     ``target - source <= budget`` over ``graph``."""
-    if witness is None:
-        raise CertificateRejected("no witness emitted for this elimination")
     _Replay(graph, source, assume).check(target, budget, witness)

@@ -10,7 +10,11 @@ instructions).  For each elimination the driver
    cannot vouch for itself), recomputing GVN congruences from scratch for
    eliminations that rested on a Section-7.1 retry;
 2. replays the recorded witness through the independent checker
-   (:func:`repro.certify.checker.check_witness`);
+   (:mod:`repro.certify.checker`).  The function's non-PRE
+   certificates replay through one checker replay per (kind,
+   certificate source), so a proof that several certificates share
+   verifies once; each PRE certificate replays fresh under its own
+   assumption context;
 3. on rejection, climbs the **revocation ladder**:
 
    * first rung — revoke exactly that elimination: the check stays in the
@@ -33,7 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.certify.checker import AssumeContext, CertificateRejected, check_witness
+from repro.certify.checker import (
+    AssumeContext,
+    CertificateRejected,
+    _Replay,
+    check_witness,
+)
 from repro.certify.witness import witness_to_json
 from repro.core.graph import Node, const_node, len_node
 from repro.errors import CertificateError
@@ -64,12 +73,15 @@ def certify_state(fn, state, config, report=None) -> List[CertVerdict]:
     bundle = _fresh_bundle(fn, config)
     records: Dict[int, object] = {a.check_id: a for a in state.analyses}
     gvn_cache: List[Optional[object]] = [None]
+    # One replay per (kind, certificate source) for the whole function,
+    # so subtrees shared between its certificates verify once.
+    replays: Dict[tuple, _Replay] = {}
     rejections = 0
 
     surviving = []
     for site in state.to_remove:
         record = records.get(site.instr.check_id)
-        reason = _check_one(fn, bundle, site, record, gvn_cache, assume=None)
+        reason = _check_one(fn, bundle, site, record, gvn_cache, replays=replays)
         verdict = _verdict(fn, site, reason)
         verdicts.append(verdict)
         if reason is None:
@@ -89,7 +101,7 @@ def certify_state(fn, state, config, report=None) -> List[CertVerdict]:
         assume = AssumeContext(
             fn, site.kind, site.array, site.instr.guard_group
         )
-        reason = _check_one(fn, bundle, site, record, gvn_cache, assume)
+        reason = _check_one(fn, bundle, site, record, gvn_cache, assume=assume)
         verdict = _verdict(fn, site, reason)
         verdicts.append(verdict)
         if reason is None:
@@ -112,9 +124,13 @@ def certify_state(fn, state, config, report=None) -> List[CertVerdict]:
 # ----------------------------------------------------------------------
 
 
-def _check_one(fn, bundle, site, record, gvn_cache, assume) -> Optional[str]:
+def _check_one(
+    fn, bundle, site, record, gvn_cache, assume=None, replays=None
+) -> Optional[str]:
     """Replay one elimination's certificate; ``None`` means accepted,
-    otherwise the rejection reason."""
+    otherwise the rejection reason.  ``replays`` maps ``(kind, source)``
+    to the function's shared replay; without it the certificate replays
+    fresh."""
     graph, source, budget = _query(bundle, site)
     try:
         if record is None:
@@ -123,7 +139,13 @@ def _check_one(fn, bundle, site, record, gvn_cache, assume) -> Optional[str]:
         if cert_source != source:
             _validate_congruent_source(fn, bundle, site, cert_source, gvn_cache)
             source = cert_source
-        check_witness(graph, source, site.target, budget, record.witness, assume)
+        if replays is None:
+            check_witness(graph, source, site.target, budget, record.witness, assume)
+        else:
+            replay = replays.get((site.kind, source))
+            if replay is None:
+                replay = replays[site.kind, source] = _Replay(graph, source)
+            replay.check(site.target, budget, record.witness)
     except CertificateRejected as exc:
         return str(exc)
     return None
@@ -241,7 +263,7 @@ def replay_elimination(
     record = _ReplayRecord(cert_source=cert_source, witness=witness)
     if gvn_cache is None:
         gvn_cache = [None]
-    return _check_one(fn, bundle, site, record, gvn_cache, assume)
+    return _check_one(fn, bundle, site, record, gvn_cache, assume=assume)
 
 
 # ----------------------------------------------------------------------

@@ -311,13 +311,14 @@ def analyze_checks(
     :class:`~repro.passes.manager.SessionStats`) receives solver
     telemetry counters when provided.
 
-    In plain mode all of the function's queries — both directions —
-    share one proof session over the unified dual graph, so memo
-    entries earned by one check site (keyed by direction and source
-    vertex) answer later sites for free.  Certify mode keeps per-site
-    sessions: witness bytes must not depend on which sites happened to
-    run earlier.  Local/global scope classification replays each proof
-    in a fresh session with a same-block edge filter.
+    All of the function's queries — both directions, plain and certify
+    mode alike — share one proof session over the unified dual graph,
+    so memo entries earned by one check site (keyed by direction and
+    source vertex) answer later sites for free.  In certify mode a
+    later site's witness may therefore embed an earlier site's closed
+    sub-witness; every certificate still replays standalone.
+    Local/global scope classification replays each proof in a fresh
+    session with a same-block edge filter.
     """
     config = config or ABCDConfig()
     if fn.ssa_form != "essa":
@@ -542,14 +543,18 @@ def _proof_session(bundle: GraphBundle, config: ABCDConfig):
     """The function's proof session: ``prove(source, target, budget,
     direction)`` plus the list of provers it opened (for telemetry).
 
-    Plain mode shares one dual-direction session across every query.
-    Certify mode, and bundles without a dual graph, open a fresh
-    per-query session over the direction's own graph.  Provers come
-    from :func:`_new_prover`, which looks ``DemandProver`` up in this
-    module at call time, so the fault harness can substitute it.
+    Every query of the function, in both directions and in both modes,
+    shares one dual-direction session; certify mode only turns its
+    witnesses on.  The memo stores closed witnesses alone, so a
+    certificate that reuses an earlier site's proof still replays on
+    its own.  Bundles without a dual graph open a fresh per-query
+    session over the direction's own graph (the reference path the
+    dual-traversal equivalence tests force).  Provers come from
+    :func:`_new_prover`, which looks ``DemandProver`` up in this module
+    at call time, so the fault harness can substitute it.
     """
     shared = None
-    if not config.certify and bundle.dual is not None:
+    if bundle.dual is not None:
         shared = _new_prover(config, bundle.dual)
     provers: List = [] if shared is None else [shared]
 
@@ -663,9 +668,10 @@ def _gvn_retry(
     against the lengths of arrays value-congruent to ``A``.
 
     Returns ``(other_array, outcome)`` for the first congruent array whose
-    proof succeeds, else ``None``.  ``prove`` is the function's proof
-    session (see :func:`_proof_session`): the shared dual-direction
-    session in plain mode, a fresh per-query session in certify mode.
+    proof succeeds, else ``None``.  ``prove`` is the function's shared
+    proof session (see :func:`_proof_session`); its memo is keyed by
+    source vertex, so a retry against ``len(B)`` never borrows a result
+    earned against ``len(A)``.
     """
     assert site.array is not None
     congruent = gvn.class_members(site.array)

@@ -2,13 +2,15 @@
 
 Covers the witness grammar's corner cases on hand-built inequality
 graphs (harmless-cycle closures, φ meets, memo budget-subsumption
-reuse), the independent checker's rejection conditions, the revocation
+reuse), the independent checker's rejection conditions, the per-function
+replay that checks a function's certificates as one DAG, the revocation
 ladder (single revoke → quarantine → ``--strict`` escalation), PRE
 assumption certificates, deterministic serialization across fresh
-sessions, and zero-rejection certification of the corpus and of
-generated programs.
+sessions, zero-rejection certification of the corpus and of generated
+programs, and linear certification work on a nested-guard chain.
 """
 
+import dataclasses
 import json
 from functools import partial
 
@@ -21,6 +23,7 @@ from repro.certify import (
     certify_state,
     check_witness,
 )
+from repro.certify.checker import _Replay
 from repro.certify.witness import (
     AxiomWitness,
     CycleWitness,
@@ -240,6 +243,21 @@ class TestSharedSubtreeReplay:
         with pytest.raises(CertificateRejected, match="source axiom"):
             check_witness(graph, A, y, -1, forged)
 
+    def test_cached_subtree_not_reused_at_another_vertex(self):
+        # The cache is keyed by witness identity; a subtree verified for
+        # ``x`` must not discharge the obligation on ``z`` (which has no
+        # in-edges, so ``y`` is unbounded).
+        graph = InequalityGraph("upper")
+        x, y, z = var_node("x"), var_node("y"), var_node("z")
+        graph.add_edge(A, x, -1)
+        graph.add_edge(x, y, 0)
+        graph.add_edge(z, y, 0)
+        graph.mark_phi(y)
+        sub = EdgeWitness(x, A, -1, AxiomWitness(A, "source"))
+        forged = PhiWitness(y, ((x, 0, sub), (z, 0, sub)))
+        with pytest.raises(CertificateRejected, match="obligation is z"):
+            check_witness(graph, A, y, -1, forged)
+
     def test_cycle_escaping_subtree_not_cached(self):
         # Branch 1 verifies a subtree whose cycle leaf closes on the φ
         # *above* it; branch 2 presents the same subtree outside that
@@ -258,6 +276,222 @@ class TestSharedSubtreeReplay:
         forged = PhiWitness(r, ((y, 0, inner), (q, 0, escaping)))
         with pytest.raises(CertificateRejected, match="not active"):
             check_witness(graph, A, r, 0, forged)
+
+
+#: Two arrays indexed by one loop variable: the lower checks of ``a[i]``
+#: and ``b[i]`` share the ``(lower, 0)`` replay, and both proofs walk
+#: the loop φ.
+TWO_ARRAY_SRC = """
+fn main(): int {
+  let a: int[] = new int[20];
+  let b: int[] = new int[20];
+  let s: int = 0;
+  for (let i: int = 0; i < len(a); i = i + 1) {
+    s = s + a[i];
+    if (i < len(b)) { s = s + b[i]; }
+  }
+  return s;
+}
+"""
+
+#: ``b`` and ``c`` are φs with identical incomings, so value numbering
+#: makes them congruent and ``c[i]`` is proven against ``len(b)``.
+CONGRUENT_SRC = """
+fn f(x: int[], y: int[], k: int): int {
+  let b: int[] = x;
+  let c: int[] = x;
+  if (k > 0) { b = y; c = y; }
+  let s: int = 0;
+  for (let i: int = 0; i < len(b); i = i + 1) { s = s + c[i] + b[i]; }
+  return s;
+}
+fn main(): int {
+  let x: int[] = new int[8];
+  let y: int[] = new int[8];
+  return f(x, y, 1);
+}
+"""
+
+#: One function with PRE-transformed checks (the loop-invariant
+#: ``a[k]``) and directly eliminated ones (``a[i]``).
+PRE_MIXED_SRC = """
+fn kernel(a: int[], k: int, n: int): int {
+  let s: int = 0;
+  let r: int = 0;
+  while (r < n) {
+    s = s + a[k];
+    r = r + 1;
+  }
+  for (let i: int = 0; i < len(a); i = i + 1) {
+    s = s + a[i] + a[i];
+  }
+  return s;
+}
+fn main(): int {
+  let a: int[] = new int[8];
+  return kernel(a, 3, 40);
+}
+"""
+
+
+def _lower_pair():
+    program = compile_source(TWO_ARRAY_SRC)
+    fn = program.functions["main"]
+    config = ABCDConfig(certify=True, certify_quarantine=99)
+    state = abcd_module.analyze_checks(fn, program, config)
+    records = {a.check_id: a for a in state.analyses}
+    first, second = (
+        records[site.instr.check_id] for site in state.to_remove if site.kind == "lower"
+    )
+    return fn, state, config, first, second
+
+
+def _rewrite_first_phi(witness, rewrite):
+    """Apply ``rewrite`` to the first φ below a chain of edge nodes."""
+    if isinstance(witness, EdgeWitness):
+        return dataclasses.replace(witness, sub=_rewrite_first_phi(witness.sub, rewrite))
+    assert isinstance(witness, PhiWitness), witness
+    return rewrite(witness)
+
+
+def _tighten_last_branch(phi):
+    """Claim the φ's last branch edge 1 tighter than the graph has."""
+    source, weight, sub = phi.branches[-1]
+    assert isinstance(sub, EdgeWitness), sub
+    forged = dataclasses.replace(sub, weight=sub.weight - 1)
+    return dataclasses.replace(phi, branches=phi.branches[:-1] + ((source, weight, forged),))
+
+
+def _statuses(verdicts):
+    return {v.check_id: v.status for v in verdicts}
+
+
+class TestPerFunctionReplay:
+    """``certify_state`` replays every non-PRE certificate of a function
+    with the same kind and source through one ``_Replay``, so the
+    verified-subtree cache spans certificates.  The per-walk state must
+    reset between them, and the cache must stay within one graph,
+    source and assumption context."""
+
+    def test_smaller_budget_rejected_across_certificates(self):
+        # test_shared_subtree_not_reused_at_smaller_budget, with its two
+        # obligations on ``x`` (budgets -1 and -6) in two certificates.
+        graph = InequalityGraph("upper")
+        x, y = var_node("x"), var_node("y")
+        graph.add_edge(A, x, -1)
+        graph.add_edge(x, y, 0)
+        graph.add_edge(x, y, 5)
+        graph.mark_phi(y)
+        sub = EdgeWitness(x, A, -1, AxiomWitness(A, "source"))
+        replay = _Replay(graph, A)
+        replay.check(x, -1, sub)
+        with pytest.raises(CertificateRejected, match="source axiom"):
+            replay.check(y, -1, PhiWitness(y, ((x, 5, sub),)))
+
+    def test_escaping_cycle_rejected_across_certificates(self):
+        # test_cycle_escaping_subtree_not_cached, with its two
+        # obligations in two certificates: the second presents the
+        # escaping subtree where its cycle target is not active.
+        graph = InequalityGraph("upper")
+        q, y, r = var_node("q"), var_node("y"), var_node("r")
+        graph.add_edge(y, q, 0)
+        graph.add_edge(q, y, 0)
+        graph.mark_phi(y)
+        graph.add_edge(y, r, 0)
+        graph.add_edge(q, r, 0)
+        graph.mark_phi(r)
+        escaping = EdgeWitness(q, y, 0, CycleWitness(y))
+        replay = _Replay(graph, A)
+        replay.check(y, 0, PhiWitness(y, ((q, 0, escaping),)))
+        with pytest.raises(CertificateRejected, match="not active"):
+            replay.check(q, 0, escaping)
+
+    def test_rejection_inside_phi_leaves_the_replay_usable(self):
+        fn, state, config, first, second = _lower_pair()
+        first.witness = _rewrite_first_phi(first.witness, _tighten_last_branch)
+        verdicts = _statuses(certify_state(fn, state, config))
+        assert (verdicts[first.check_id], verdicts[second.check_id]) == (
+            "rejected",
+            "accepted",
+        )
+
+    def test_rejection_inside_phi_leaves_no_active_vertex(self):
+        # The first walk is abandoned with the loop φ active; a forged
+        # cycle closing on that φ in the next certificate must not find
+        # it still active.
+        fn, state, config, first, second = _lower_pair()
+        first.witness = _rewrite_first_phi(first.witness, _tighten_last_branch)
+        second.witness = _rewrite_first_phi(
+            second.witness, lambda phi: CycleWitness(phi.vertex)
+        )
+        verdicts = _statuses(certify_state(fn, state, config))
+        assert (verdicts[first.check_id], verdicts[second.check_id]) == (
+            "rejected",
+            "rejected",
+        )
+
+    def test_forged_certificate_after_a_valid_one_rejected(self):
+        # The second certificate hands the first one's whole witness,
+        # verified and cached a moment ago, to an obligation on another
+        # vertex.
+        fn, state, config, first, second = _lower_pair()
+        second.witness = dataclasses.replace(second.witness, sub=first.witness)
+        verdicts = _statuses(certify_state(fn, state, config))
+        assert (verdicts[first.check_id], verdicts[second.check_id]) == (
+            "accepted",
+            "rejected",
+        )
+
+    def test_subtree_verified_under_one_source_rechecked_under_another(self):
+        # ``c[i]`` is proven by a Section-7.1 retry against ``len(b)``,
+        # and ``b[i]``'s proof reuses it from the memo.  With ``b[i]``
+        # replayed first, a ``c[i]`` certificate claiming ``len(c)`` as
+        # its source must get a replay of its own, where the proof's
+        # ``len(b)`` source axiom fails.
+        program = compile_source(CONGRUENT_SRC)
+        fn = program.functions["f"]
+        config = ABCDConfig(certify=True, certify_quarantine=99)
+        state = abcd_module.analyze_checks(fn, program, config)
+        retried = next(a for a in state.analyses if a.via_gvn)
+        direct = next(
+            a
+            for a in state.analyses
+            if a.kind == "upper" and not a.via_gvn and a.eliminated
+        )
+        assert retried.cert_source == direct.cert_source
+        retried.cert_source = None
+        state.to_remove.sort(key=lambda site: site.instr.check_id != direct.check_id)
+        verdicts = _statuses(certify_state(fn, state, config))
+        assert verdicts[direct.check_id] == "accepted"
+        assert verdicts[retried.check_id] == "rejected"
+        assert retried.revoked
+
+    def test_pre_certificates_never_read_the_shared_cache(self, monkeypatch):
+        replays = []
+        real = _Replay.check
+
+        def spied(self, vertex, budget, witness):
+            replays.append((self, self._assume is not None, len(self._verified)))
+            return real(self, vertex, budget, witness)
+
+        monkeypatch.setattr(_Replay, "check", spied)
+        program = compile_source(PRE_MIXED_SRC)
+        profile = collect_profile(program, "main")
+        report = abcd(
+            program,
+            config=ABCDConfig(certify=True, pre=True),
+            pre=True,
+            profile=profile,
+        )
+        assert report.certificates_rejected == 0
+        pre = [id(replay) for replay, assume, _ in replays if assume]
+        shared = [id(replay) for replay, assume, _ in replays if not assume]
+        assert len(pre) == sum(1 for a in report.analyses if a.pre_applied) > 0
+        assert len(set(shared)) < len(shared)  # the function reused a replay
+        # Each PRE certificate gets a fresh replay with an empty cache.
+        assert len(set(pre)) == len(pre)
+        assert not set(shared) & set(pre)
+        assert all(cached == 0 for _, assume, cached in replays if assume)
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +567,8 @@ class TestRevocationLadder:
         real = Prover.demand_prove
         state = {"first": True}
 
-        def corrupt_first(self, source, target, budget):
-            outcome = real(self, source, target, budget)
+        def corrupt_first(self, source, target, budget, direction=None):
+            outcome = real(self, source, target, budget, direction=direction)
             if outcome.witness is not None and state["first"]:
                 state["first"] = False
                 outcome.witness = CycleWitness(target)
@@ -457,3 +691,54 @@ def test_corpus_certifies_without_rejection(source):
     # Every elimination carried a certificate and every one was accepted.
     assert report.certificates_accepted == report.eliminated_count()
     assert report.certificates_accepted > 0  # the input exercised the checker
+
+
+def _nested_guard_chain(k: int) -> str:
+    """``k`` upper checks at guard depths 1..k against one array, plus
+    their ``k`` lower-bound twins: check ``d``'s proof walks a
+    length-``d`` inequality chain, and check ``d + 1``'s proof extends
+    check ``d``'s by one link."""
+    lines = [
+        "fn deep(a: int[], i0: int): int {",
+        "  let s: int = 0;",
+        "  if (i0 >= 0) { if (i0 < len(a)) {",
+    ]
+    indent = "    "
+    for d in range(1, k + 1):
+        lines.append(f"{indent}let i{d}: int = i{d - 1} - 1;")
+        lines.append(f"{indent}if (i{d} >= 0) {{")
+        lines.append(f"{indent}  s = s + a[i{d}];")
+        indent += "  "
+    lines.append(indent + "s = s + 0;")
+    for _ in range(k):
+        indent = indent[:-2]
+        lines.append(indent + "}")
+    lines += ["  } }", "  return s;", "}"]
+    lines.append("fn main(): int { let a: int[] = new int[64]; return deep(a, 10); }")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k", (8, 16, 32))
+def test_nested_guard_chain_certifies_in_linear_work(k, monkeypatch):
+    dispatches = [0]
+    for name in ("_axiom", "_cycle", "_assumption", "_edge", "_phi"):
+
+        def counted(self, *args, _real=getattr(_Replay, name)):
+            dispatches[0] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(_Replay, name, counted)
+    steps = {}
+    for certify in (False, True):
+        session = CompilationSession(config=ABCDConfig(certify=certify))
+        report = session.optimize(session.compile(_nested_guard_chain(k)))
+        counters = report.session_stats.counters
+        steps[certify] = counters["solver.steps.upper"] + counters["solver.steps.lower"]
+        assert report.analyzed == report.eliminated_count() == 2 * k
+    assert report.certificates_accepted == 2 * k
+    # Certify mode shares the plain session, so witnesses cost no extra
+    # solver steps, and the function's one replay per (kind, source)
+    # verifies each chain link once.  Per-query sessions and replays
+    # took 5k^2 + 10k steps and 2k^2 + 6k dispatches.
+    assert steps[True] == steps[False] == 14 * k + 1
+    assert dispatches[0] == 6 * k + 2
