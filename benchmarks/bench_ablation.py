@@ -18,12 +18,12 @@ import math
 from typing import Dict
 
 from repro.bench.corpus import CORPUS, get
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.core.constraints import build_graphs
 from repro.core.exhaustive import compute_distances
 from repro.core.graph import const_node, len_node, var_node
 from repro.ir.instructions import CheckLower, CheckUpper, Var
-from repro.pipeline import compile_source
+from repro.pipeline import abcd, compile_source
 
 
 def _upper_elimination_rate(config: ABCDConfig, inline: bool = False) -> float:
@@ -32,7 +32,7 @@ def _upper_elimination_rate(config: ABCDConfig, inline: bool = False) -> float:
         import dataclasses
 
         program = compile_source(program_def.source(), inline=inline)
-        report = optimize_program(program, dataclasses.replace(config))
+        report = abcd(program, dataclasses.replace(config))
         eliminated += report.eliminated_count("upper")
         analyzed += report.analyzed_count("upper")
     return eliminated / analyzed
@@ -40,7 +40,7 @@ def _upper_elimination_rate(config: ABCDConfig, inline: bool = False) -> float:
 
 def test_design_choice_ablations(benchmark):
     benchmark(
-        lambda: optimize_program(
+        lambda: abcd(
             compile_source(get("Sieve").source()), ABCDConfig()
         )
     )

@@ -10,15 +10,15 @@ included) and report per-benchmark averages plus the corpus-wide mean.
 
 from __future__ import annotations
 
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.bench.corpus import get
-from repro.pipeline import compile_source
+from repro.pipeline import abcd, compile_source
 
 
 def test_steps_per_check(corpus_results, benchmark):
     def analyze_sieve():
         program = compile_source(get("Sieve").source())
-        return optimize_program(program, ABCDConfig())
+        return abcd(program, ABCDConfig())
 
     report = benchmark(analyze_sieve)
     assert report.mean_steps < 20

@@ -13,8 +13,8 @@ from __future__ import annotations
 import statistics
 
 from repro.bench.corpus import get
-from repro.core.abcd import ABCDConfig, optimize_program
-from repro.pipeline import compile_source
+from repro.core.abcd import ABCDConfig
+from repro.pipeline import abcd, compile_source
 
 
 def test_per_check_analysis_time(corpus_results, benchmark):
@@ -24,7 +24,7 @@ def test_per_check_analysis_time(corpus_results, benchmark):
 
     def analyze():
         clone = compile_source(get("biDirBubbleSort").source())
-        return optimize_program(clone, ABCDConfig())
+        return abcd(clone, ABCDConfig())
 
     benchmark.pedantic(analyze, rounds=3, iterations=1)
 

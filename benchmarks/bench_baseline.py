@@ -12,8 +12,8 @@ import dataclasses
 
 from repro.baselines.range_analysis import eliminate_program_with_ranges
 from repro.bench.corpus import CORPUS, get
-from repro.core.abcd import ABCDConfig, optimize_program
-from repro.pipeline import compile_source
+from repro.core.abcd import ABCDConfig
+from repro.pipeline import abcd, compile_source
 
 
 def test_abcd_vs_range_analysis(benchmark):
@@ -32,7 +32,7 @@ def test_abcd_vs_range_analysis(benchmark):
         range_report = eliminate_program_with_ranges(range_program)
 
         abcd_program = compile_source(program_def.source())
-        abcd_report = optimize_program(abcd_program, ABCDConfig())
+        abcd_report = abcd(abcd_program, ABCDConfig())
 
         analyzed = abcd_report.analyzed_count("upper")
         range_hits = range_report.eliminated_upper

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from repro.baselines.loop_versioning import version_program_loops
 from repro.bench.corpus import CORPUS, get
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.frontend.parser import parse_source
 from repro.frontend.semantic import check_program
 from repro.ir.lowering import lower_program
-from repro.pipeline import compile_source, run
+from repro.opt import optimize_worklist
+from repro.pipeline import abcd, compile_source, run
 from repro.ssa.essa import construct_essa
-from repro.opt import run_standard_pipeline
 
 
 def _program_size(program) -> int:
@@ -34,7 +34,7 @@ def _versioned_program(source: str):
     report = version_program_loops(program)
     for fn in program.functions.values():
         construct_essa(fn)
-        run_standard_pipeline(fn)
+        optimize_worklist(fn)
     return program, report
 
 
@@ -60,7 +60,7 @@ def test_versioning_vs_abcd(benchmark):
         versioned_growth = _program_size(versioned) / plain_size - 1
 
         optimized = compile_source(program_def.source())
-        optimize_program(optimized, ABCDConfig())
+        abcd(optimized, ABCDConfig())
         optimized_run = run(optimized, "main", fuel=100_000_000)
         assert optimized_run.value == base_run.value, program_def.name
         abcd_removed = 1 - optimized_run.stats.total_checks / base_checks

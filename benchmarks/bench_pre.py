@@ -13,9 +13,9 @@ hot spot.
 
 from __future__ import annotations
 
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.ir.instructions import SpeculativeCheck
-from repro.pipeline import clone_program, compile_source, run
+from repro.pipeline import abcd, clone_program, compile_source, run
 from repro.runtime.profiler import collect_profile
 
 SECTION6_SRC = """
@@ -44,7 +44,7 @@ def test_section6_loop_invariant_check(benchmark, corpus_results):
     def transform():
         program = compile_source(SECTION6_SRC)
         profile = collect_profile(program, "main")
-        report = optimize_program(program, ABCDConfig(pre=True), profile)
+        report = abcd(program, ABCDConfig(pre=True), profile)
         return program, report
 
     program, report = benchmark(transform)

@@ -12,15 +12,15 @@ compile-time cost of the whole ABCD pass on it.
 from __future__ import annotations
 
 from repro.bench.corpus import get
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.ir.instructions import CheckLower, CheckUpper
-from repro.pipeline import compile_source
+from repro.pipeline import abcd, compile_source
 
 
 def test_all_checks_of_the_sort_eliminated(corpus_results, benchmark):
     def optimize():
         program = compile_source(get("biDirBubbleSort").source())
-        return program, optimize_program(program, ABCDConfig())
+        return program, abcd(program, ABCDConfig())
 
     program, report = benchmark(optimize)
 

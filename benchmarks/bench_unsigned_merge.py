@@ -10,9 +10,9 @@ residual checks.
 from __future__ import annotations
 
 from repro.bench.corpus import CORPUS, get
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.core.extensions import merge_program_unsigned_checks
-from repro.pipeline import clone_program, compile_source, run
+from repro.pipeline import abcd, clone_program, compile_source, run
 
 
 def test_unsigned_merge_savings(benchmark):
@@ -28,7 +28,7 @@ def test_unsigned_merge_savings(benchmark):
     total_pairs = 0
     for program_def in CORPUS:
         program = compile_source(program_def.source())
-        optimize_program(program, ABCDConfig())
+        abcd(program, ABCDConfig())
         unmerged = clone_program(program)
         report = merge_program_unsigned_checks(program)
         total_pairs += report.merged_pairs

@@ -15,13 +15,13 @@ import argparse
 import pathlib
 
 from repro.bench.corpus import get
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.core.constraints import build_graphs
 from repro.core.graph import const_node, len_node, var_node
 from repro.core.solver import DemandProver
 from repro.ir.instructions import CheckLower, CheckUpper, Var
 from repro.ir.printer import format_function
-from repro.pipeline import clone_program, compile_source, run
+from repro.pipeline import abcd, clone_program, compile_source, run
 
 
 def main() -> None:
@@ -89,7 +89,7 @@ def main() -> None:
     print("=" * 72)
     print("4. Elimination and execution")
     print("=" * 72)
-    report = optimize_program(program, ABCDConfig())
+    report = abcd(program, ABCDConfig())
     sort_checks = [a for a in report.analyses if a.function == "sort"]
     print(
         f"sort(): {sum(a.eliminated for a in sort_checks)}"

@@ -12,12 +12,12 @@ Run:  python examples/comparing_eliminators.py
 
 from repro.baselines.loop_versioning import version_program_loops
 from repro.baselines.range_analysis import eliminate_program_with_ranges
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.frontend.parser import parse_source
 from repro.frontend.semantic import check_program
 from repro.ir.lowering import lower_program
-from repro.opt import run_standard_pipeline
-from repro.pipeline import compile_source, run
+from repro.opt import optimize_worklist
+from repro.pipeline import abcd, compile_source, run
 from repro.ssa.essa import construct_essa
 
 SOURCE = """
@@ -65,7 +65,7 @@ def main() -> None:
 
     # ABCD.
     abcd_program = compile_source(SOURCE)
-    optimize_program(abcd_program, ABCDConfig())
+    abcd(abcd_program, ABCDConfig())
     abcd_run = run(abcd_program, "main")
     assert abcd_run.value == base.value
     print(f"{'ABCD':<16}{abcd_run.stats.total_checks:>12}"
@@ -88,7 +88,7 @@ def main() -> None:
     version_program_loops(versioned)
     for fn in versioned.functions.values():
         construct_essa(fn)
-        run_standard_pipeline(fn)
+        optimize_worklist(fn)
     versioned_run = run(versioned, "main")
     assert versioned_run.value == base.value
     print(f"{'loop versioning':<16}{versioned_run.stats.total_checks:>12}"

@@ -13,8 +13,8 @@ setting" (abstract).  This example emulates a JIT:
 Run:  python examples/hot_checks_jit.py
 """
 
-from repro.core.abcd import ABCDConfig, optimize_program
-from repro.pipeline import clone_program, compile_source, run
+from repro.core.abcd import ABCDConfig
+from repro.pipeline import abcd, clone_program, compile_source, run
 from repro.runtime.profiler import collect_profile
 
 SOURCE = """
@@ -56,7 +56,7 @@ def main() -> None:
     # Tier 1: demand-driven ABCD on the hot set only.
     hot = set(profile.hottest_fraction(0.90))
     print(f"hot set: {len(hot)} checks cover 90% of executions")
-    report = optimize_program(program, ABCDConfig(hot_checks=hot))
+    report = abcd(program, ABCDConfig(hot_checks=hot))
     print(f"analyzed {report.analyzed} checks "
           f"(instead of {len(profile.check_counts)}), "
           f"eliminated {report.eliminated_count()}, "
@@ -73,7 +73,7 @@ def main() -> None:
 
     # Contrast: exhaustive analysis of every check.
     everything = clone_program(baseline)
-    full_report = optimize_program(everything, ABCDConfig())
+    full_report = abcd(everything, ABCDConfig())
     full = run(everything, "main")
     print(f"full analysis for reference: {full_report.analyzed} checks "
           f"analyzed, {full_report.total_steps} steps, "

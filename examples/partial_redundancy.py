@@ -10,10 +10,10 @@ right place even when the speculation was wrong.
 Run:  python examples/partial_redundancy.py
 """
 
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.ir.instructions import SpeculativeCheck
 from repro.ir.printer import format_function
-from repro.pipeline import clone_program, compile_source, run
+from repro.pipeline import abcd, clone_program, compile_source, run
 from repro.runtime.profiler import collect_profile
 from repro.runtime.values import ArrayValue
 
@@ -45,7 +45,7 @@ def main() -> None:
     baseline = clone_program(program)
 
     profile = collect_profile(program, "main")
-    report = optimize_program(program, ABCDConfig(pre=True), profile)
+    report = abcd(program, ABCDConfig(pre=True), profile)
 
     pre = [a for a in report.analyses if a.pre_applied]
     print(f"PRE transformed {len(pre)} check(s):")

@@ -38,7 +38,7 @@ from repro.errors import CompileError, MiniJRuntimeError, ReproError
 from repro.ir.printer import format_function, format_program
 from repro.passes.session import CompilationSession
 from repro.pipeline import clone_program, compile_source, run
-from repro.robustness.guard import PassGuard, guarded_optimize_program
+from repro.robustness.guard import PassGuard
 from repro.runtime.profiler import collect_profile
 
 
@@ -156,7 +156,7 @@ def cmd_run(args) -> int:
     if args.optimize:
         config = _config_from(args)
         profile = collect_profile(program, args.fn, args.args) if config.pre else None
-        guarded_optimize_program(program, config, profile)
+        CompilationSession(config).optimize(program, profile=profile)
     try:
         result = run(program, args.fn, args.args)
     except MiniJRuntimeError as exc:

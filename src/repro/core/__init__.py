@@ -1,12 +1,6 @@
 """The ABCD algorithm: inequality graph, solver, driver, PRE."""
 
-from repro.core.abcd import (
-    ABCDConfig,
-    ABCDReport,
-    CheckAnalysis,
-    optimize_function,
-    optimize_program,
-)
+from repro.core.abcd import ABCDConfig, ABCDReport, CheckAnalysis
 from repro.core.constraints import GraphBundle, build_graphs, collect_array_vars
 from repro.core.exhaustive import compute_distances, exhaustive_prove
 from repro.core.graph import Edge, InequalityGraph, Node, const_node, len_node, var_node
@@ -18,8 +12,6 @@ __all__ = [
     "ABCDConfig",
     "ABCDReport",
     "CheckAnalysis",
-    "optimize_function",
-    "optimize_program",
     "GraphBundle",
     "build_graphs",
     "collect_array_vars",

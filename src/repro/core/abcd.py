@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.constraints import GraphBundle, build_graphs
 from repro.core.graph import Edge, InequalityGraph, Node, const_node, len_node, var_node
@@ -38,10 +38,12 @@ class ABCDConfig:
     ``upper``/``lower`` select which check kinds to analyze (the paper's
     experiments focus on upper checks; both default on).  ``pre`` enables
     the Section-6 partial-redundancy extension and requires a profile at
-    ``optimize_function``/``optimize_program`` time.  ``allocation_facts``
-    forwards to the graph builder.  ``hot_checks`` restricts analysis to a
-    set of check ids (the demand-driven JIT scenario); ``None`` analyzes
-    everything.
+    ``pipeline.abcd``/``CompilationSession.optimize`` time.
+    ``allocation_facts`` forwards to :func:`~repro.core.constraints.
+    build_graphs`.  ``hot_checks`` restricts analysis to a set of check
+    ids (the demand-driven JIT scenario); ``None`` analyzes everything.
+    A ``gvn_mode`` outside ``off``/``consult``/``augment`` is rejected at
+    construction.
     """
 
     upper: bool = True
@@ -79,6 +81,10 @@ class ABCDConfig:
     #: Quarantine a function to unoptimized compilation once this many of
     #: its certificates are rejected (the revocation ladder's second rung).
     certify_quarantine: int = 2
+
+    def __post_init__(self) -> None:
+        if self.gvn_mode not in ("off", "consult", "augment"):
+            raise ValueError(f"bad gvn_mode {self.gvn_mode!r}")
 
 
 @dataclass
@@ -142,7 +148,7 @@ class PassFailure:
 
 @dataclass
 class ABCDReport:
-    """Aggregated outcome of one ``abcd_optimize`` run."""
+    """Aggregated outcome of one ``pipeline.abcd`` run."""
 
     analyses: List[CheckAnalysis] = field(default_factory=list)
     #: Robustness telemetry: pass failures contained by rollback during
@@ -323,8 +329,6 @@ def analyze_checks(
     config = config or ABCDConfig()
     if fn.ssa_form != "essa":
         raise ValueError(f"{fn.name}: ABCD requires e-SSA form")
-    if config.gvn_mode not in ("off", "consult", "augment"):
-        raise ValueError(f"bad gvn_mode {config.gvn_mode!r}")
     gvn = None
     if config.gvn_mode != "off":
         if analysis is not None:
@@ -466,48 +470,6 @@ def remove_checks(fn: Function, state: AbcdState) -> int:
     for site in state.to_remove:
         _remove_instr(fn, site)
     return len(state.to_remove)
-
-
-def optimize_function(
-    fn: Function,
-    program: Program,
-    config: Optional[ABCDConfig] = None,
-    profile: Optional[Profile] = None,
-    analysis=None,
-) -> ABCDReport:
-    """Run ABCD over one e-SSA function, removing redundant checks in
-    place, and return the per-check report.
-
-    Convenience wrapper over the three registered passes —
-    :func:`analyze_checks`, :func:`apply_pre`, :func:`remove_checks` —
-    for callers not driving a full pass-manager session.
-    """
-    config = config or ABCDConfig()
-    report = ABCDReport()
-    state = analyze_checks(fn, program, config, analysis=analysis)
-    if config.pre and profile is not None:
-        apply_pre(fn, program, state, config, profile, report, analysis=analysis)
-    if config.certify:
-        from repro.certify.driver import certify_state
-
-        certify_state(fn, state, config, report)
-    remove_checks(fn, state)
-    report.analyses.extend(state.analyses)
-    return report
-
-
-def optimize_program(
-    program: Program,
-    config: Optional[ABCDConfig] = None,
-    profile: Optional[Profile] = None,
-    functions: Optional[Sequence[str]] = None,
-) -> ABCDReport:
-    """Run ABCD over every (or the named) functions of a program."""
-    report = ABCDReport()
-    names = list(functions) if functions is not None else list(program.functions)
-    for name in names:
-        report.merge(optimize_function(program.functions[name], program, config, profile))
-    return report
 
 
 # ----------------------------------------------------------------------

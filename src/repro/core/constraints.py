@@ -71,18 +71,19 @@ from repro.ir.instructions import (
 class GraphBundle:
     """The dual constraint system of one function.
 
-    ``dual`` is the single direction-weighted graph both problems share;
-    ``upper``/``lower`` are its :class:`~repro.core.graph.DirectionView`
-    halves, kept for every consumer that works one direction at a time
-    (PRE, the exhaustive oracle, baselines, tests).
+    ``dual`` pairs the two systems (sharing one φ set) for the function's
+    dual-direction proof session; ``upper``/``lower`` are its
+    :class:`~repro.core.graph.InequalityGraph` halves, for every consumer
+    that works one direction at a time (PRE, the exhaustive oracle,
+    baselines, tests).
     """
 
     upper: object
     lower: object
     #: Variables known to hold array references (for GVN consultation).
     array_vars: Set[str]
-    #: The unified graph behind the two views (``None`` only for
-    #: hand-assembled bundles built from two standalone graphs).
+    #: The pair behind the two halves (``None`` only for hand-assembled
+    #: bundles built from two standalone graphs).
     dual: Optional[DualGraph] = None
 
 
@@ -250,9 +251,9 @@ class _GraphBuilder:
         #: half — C4/C5 predicate edges are dropped, degrading e-SSA to
         #: plain SSA value flow.
         self._pi_constraints = pi_constraints
-        #: The single direction-weighted constraint graph; ``upper`` and
-        #: ``lower`` are its views (one statement's Table-1 contribution
-        #: to both systems lands in one ``dual.add_edge`` call).
+        #: Both constraint systems; ``upper`` and ``lower`` are its halves
+        #: (one statement's Table-1 contribution to both systems lands in
+        #: one ``dual.add_edge`` call).
         self.dual = DualGraph()
         self.upper = self.dual.view("upper")
         self.lower = self.dual.view("lower")

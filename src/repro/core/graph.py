@@ -224,47 +224,30 @@ class InequalityGraph:
 
 
 class DualGraph:
-    """One inequality graph carrying **both** directions' constraints.
+    """Both directions' constraint systems of one function: two
+    :class:`InequalityGraph` halves sharing one φ set.
 
     The paper solves two difference-constraint systems per function — the
     upper-bound graph and its negated-space lower-bound dual — over the
-    same e-SSA vertex universe.  This class stores them as a single graph
-    whose edges carry *per-direction* weights: ``add_edge(u, v,
-    upper=w1, lower=w2)`` records the Table-1 contribution of one
-    statement to both systems at once, and queries are direction-tagged
-    (``in_edges(v, "upper")``).  The φ vertex set ``V_φ`` is shared —
-    Table 1 marks the same destinations in both systems — while edge
-    topology and weights may differ (C4/C5 π predicates are one-sided,
-    allocation facts and the ``len(A) >= 0`` axiom are asymmetric).
+    same e-SSA vertex universe.  ``add_edge(u, v, upper=w1, lower=w2)``
+    records the Table-1 contribution of one statement to both systems at
+    once.  The φ vertex set ``V_φ`` is shared — Table 1 marks the same
+    destinations in both systems — while edge topology and weights may
+    differ (C4/C5 π predicates are one-sided, allocation facts and the
+    ``len(A) >= 0`` axiom are asymmetric).
 
-    Per-direction insertion order is preserved exactly as if two separate
-    graphs had been built, which keeps the solver's traversal — and the
-    proof witnesses it emits — byte-identical to the historical
-    two-graph pipeline.
-
-    ``view(direction)`` returns a :class:`DirectionView` satisfying the
-    full :class:`InequalityGraph` protocol, so single-direction consumers
-    (the PRE prover, the exhaustive oracle, the baselines, hand-written
-    tests) keep working unchanged against ``bundle.upper``/``bundle.lower``.
+    Each half keeps its own insertion order, exactly as if the two graphs
+    had been built separately, so the solver's traversal and the proof
+    witnesses it emits do not depend on the pairing.  ``views`` maps each
+    direction to its half; handing the pair to
+    :class:`~repro.core.solver.DemandProver` makes the session
+    dual-direction.
     """
 
-    DIRECTIONS = ("upper", "lower")
-
     def __init__(self) -> None:
-        self._in_edges: Dict[str, Dict[Node, List[Edge]]] = {
-            "upper": {},
-            "lower": {},
-        }
-        self.phi_nodes: set = set()
-        self._anchored_consts: Dict[str, set] = {"upper": set(), "lower": set()}
-        self.edge_counts: Dict[str, int] = {"upper": 0, "lower": 0}
-        self._views: Dict[str, "DirectionView"] = {
-            d: DirectionView(self, d) for d in self.DIRECTIONS
-        }
-
-    # ------------------------------------------------------------------
-    # Construction.
-    # ------------------------------------------------------------------
+        upper, lower = InequalityGraph("upper"), InequalityGraph("lower")
+        lower.phi_nodes = upper.phi_nodes
+        self.views: Dict[str, InequalityGraph] = {"upper": upper, "lower": lower}
 
     def add_edge(
         self,
@@ -277,185 +260,12 @@ class DualGraph:
         """Add ``target <= source + w`` with per-direction weights (a
         ``None`` weight leaves that direction's system untouched)."""
         if upper is not None:
-            self.add_directed_edge("upper", source, target, upper, block)
+            self.views["upper"].add_edge(source, target, upper, block)
         if lower is not None:
-            self.add_directed_edge("lower", source, target, lower, block)
+            self.views["lower"].add_edge(source, target, lower, block)
 
-    def add_directed_edge(
-        self,
-        direction: str,
-        source: Node,
-        target: Node,
-        weight: int,
-        block: Optional[str] = None,
-    ) -> None:
-        """One direction's half of :meth:`add_edge`.  Parallel edges
-        between the same pair keep only the strongest (smallest-weight)
-        constraint, exactly as :meth:`InequalityGraph.add_edge`."""
-        edges = self._in_edges[direction].setdefault(target, [])
-        for position, existing in enumerate(edges):
-            if existing.source == source:
-                if weight < existing.weight:
-                    edges[position] = Edge(source, target, weight, block)
-                return
-        edges.append(Edge(source, target, weight, block))
-        self.edge_counts[direction] += 1
-        if target.kind == "const":
-            self._anchored_consts[direction].add(target)
-
-    def mark_phi(self, node: Node) -> None:
-        """Put ``node`` into the shared ``V_φ`` (max-vertex) set."""
-        self.phi_nodes.add(node)
-
-    # ------------------------------------------------------------------
-    # Direction-tagged queries (the solver's interface).
-    # ------------------------------------------------------------------
-
-    @property
-    def views(self) -> Dict[str, "DirectionView"]:
-        """Direction views, keyed ``"upper"``/``"lower"`` — handing this
-        to :class:`~repro.core.solver.DemandProver` makes the session
-        dual-direction."""
-        return self._views
-
-    def view(self, direction: str) -> "DirectionView":
-        return self._views[direction]
-
-    def is_phi(self, node: Node) -> bool:
-        return node in self.phi_nodes
-
-    def const_value(self, node: Node, direction: str) -> int:
-        assert node.kind == "const"
-        return node.value if direction == "upper" else -node.value
-
-    def in_edges(self, node: Node, direction: str) -> List[Edge]:
-        """In-edges of ``node`` in one direction's system, including the
-        same on-demand descending constant completion as
-        :meth:`InequalityGraph.in_edges`."""
-        edges = list(self._in_edges[direction].get(node, ()))
-        if node.kind == "const":
-            target_value = self.const_value(node, direction)
-            for anchor in sorted(
-                self._anchored_consts[direction], key=lambda n: n.value
-            ):
-                if anchor == node:
-                    continue
-                anchor_value = self.const_value(anchor, direction)
-                if target_value < anchor_value:
-                    edges.append(Edge(anchor, node, target_value - anchor_value))
-        return edges
-
-    def has_predecessors(self, node: Node, direction: str) -> bool:
-        if self._in_edges[direction].get(node):
-            return True
-        if node.kind != "const":
-            return False
-        value = self.const_value(node, direction)
-        return any(
-            self.const_value(anchor, direction) > value
-            for anchor in self._anchored_consts[direction]
-            if anchor != node
-        )
-
-    def nodes(self, direction: str) -> List[Node]:
-        seen = set()
-        for target, edges in self._in_edges[direction].items():
-            seen.add(target)
-            for edge in edges:
-                seen.add(edge.source)
-        seen.update(self.phi_nodes)
-        return sorted(seen, key=str)
-
-    def edges(self, direction: str) -> Iterable[Edge]:
-        for edges in self._in_edges[direction].values():
-            yield from edges
+    def view(self, direction: str) -> InequalityGraph:
+        return self.views[direction]
 
     def __repr__(self) -> str:
-        return (
-            f"DualGraph({self.edge_counts['upper']} upper / "
-            f"{self.edge_counts['lower']} lower edges, "
-            f"{len(self.phi_nodes)} phi)"
-        )
-
-
-class DirectionView:
-    """One direction of a :class:`DualGraph`, presenting the
-    :class:`InequalityGraph` protocol (``direction``, ``in_edges``,
-    ``is_phi``, ``const_value``, …) so single-direction consumers are
-    agnostic to whether they were handed a standalone graph or half of a
-    dual one."""
-
-    __slots__ = ("_dual", "direction")
-
-    def __init__(self, dual: DualGraph, direction: str) -> None:
-        if direction not in DualGraph.DIRECTIONS:
-            raise ValueError(f"bad direction {direction!r}")
-        self._dual = dual
-        self.direction = direction
-
-    # Construction (forwarded; used by GVN augmentation and tests).
-
-    def add_edge(
-        self, source: Node, target: Node, weight: int, block: Optional[str] = None
-    ) -> None:
-        self._dual.add_directed_edge(self.direction, source, target, weight, block)
-
-    def mark_phi(self, node: Node) -> None:
-        self._dual.mark_phi(node)
-
-    # Queries.
-
-    @property
-    def _in_edges(self):
-        # Raw per-direction adjacency of the backing dual graph.  Exposed
-        # for the fault-injection harness, which corrupts edge lists in
-        # place to exercise the downstream soundness gates.
-        return self._dual._in_edges[self.direction]
-
-    @property
-    def phi_nodes(self) -> set:
-        return self._dual.phi_nodes
-
-    @property
-    def edge_count(self) -> int:
-        return self._dual.edge_counts[self.direction]
-
-    def const_value(self, node: Node) -> int:
-        return self._dual.const_value(node, self.direction)
-
-    def is_phi(self, node: Node) -> bool:
-        return self._dual.is_phi(node)
-
-    def in_edges(self, node: Node) -> List[Edge]:
-        return self._dual.in_edges(node, self.direction)
-
-    def has_predecessors(self, node: Node) -> bool:
-        return self._dual.has_predecessors(node, self.direction)
-
-    def nodes(self) -> List[Node]:
-        return self._dual.nodes(self.direction)
-
-    def edges(self) -> Iterable[Edge]:
-        return self._dual.edges(self.direction)
-
-    def to_dot(self, highlight: Tuple[Node, ...] = ()) -> str:
-        lines = [
-            f'digraph "inequality_{self.direction}" {{',
-            "  rankdir=TB; node [fontname=monospace];",
-        ]
-        for node in self.nodes():
-            shape = "doublecircle" if self.is_phi(node) else "ellipse"
-            color = ', style=filled, fillcolor="#ffdd99"' if node in highlight else ""
-            lines.append(f'  "{node}" [shape={shape}{color}];')
-        for edge in self.edges():
-            lines.append(
-                f'  "{edge.source}" -> "{edge.target}" [label="{edge.weight}"];'
-            )
-        lines.append("}")
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"DirectionView({self.direction}, {self.edge_count} edges, "
-            f"{len(self.phi_nodes)} phi)"
-        )
+        return f"DualGraph({self.views['upper']!r}, {self.views['lower']!r})"

@@ -273,7 +273,7 @@ class DemandProver:
     in both directions of a :class:`~repro.core.graph.DualGraph` — with
     direction- and source-tagged memo reuse between them (resource
     budgets stay per query).  Construct with a single
-    :class:`~repro.core.graph.InequalityGraph` (or one direction view of
+    :class:`~repro.core.graph.InequalityGraph` (for instance one half of
     a dual graph) for a fixed-direction session, or with a ``DualGraph``
     and pass ``direction=`` per query.
 
@@ -293,7 +293,7 @@ class DemandProver:
     ) -> None:
         self._graph = graph
         views = getattr(graph, "views", None)
-        if views is not None:  # a DualGraph: serves both directions
+        if views is not None:  # a DualGraph: serves both of its halves
             self._views = dict(views)
             self._default_direction: Optional[str] = None
         else:

@@ -21,7 +21,6 @@ from repro.passes.registry import (
     PASS_REGISTRY,
     default_compile_passes,
     default_optimize_passes,
-    standard_opt_group,
 )
 from repro.passes.session import CompilationSession
 
@@ -39,5 +38,4 @@ __all__ = [
     "PASS_REGISTRY",
     "default_compile_passes",
     "default_optimize_passes",
-    "standard_opt_group",
 ]

@@ -2,19 +2,23 @@
 
 A :class:`Pass` declares its ``name``, the analyses it ``requires`` and
 ``preserves``, and how it wants to be sandboxed (``snapshot``/``verify``).
-The :class:`PassManager` applies the :class:`~repro.robustness.guard.
-PassGuard` protocol uniformly — snapshot → run → verify → rollback — so
-``pipeline.py``, the ``guarded_*`` helpers, the CLI, and the bench
-harness all drive the same pass list instead of four hand-rolled
-sequences.  Per-pass wall time, invocation counts, rollbacks, and the
-analysis cache's hit/miss counters land in :class:`SessionStats`.
+The :class:`PassManager` is the one pass sandbox — snapshot → run →
+verify → rollback — and hands every contained failure to the context's
+:class:`~repro.robustness.guard.PassGuard`, the failure sink.
+``pipeline.py``, the CLI, the differential gate, and the bench harness
+all drive the same pass list through
+:class:`~repro.passes.session.CompilationSession`.  Per-pass wall time,
+invocation counts, rollbacks, and the analysis cache's hit/miss counters
+land in :class:`SessionStats`.
 
-:class:`FixpointGroup` models the standard-opt suite: its members iterate
-to a bounded fixpoint with *one* snapshot and *one* verification per
-round (the sandbox economics of the previous hand-rolled driver); an
-exception is attributed to the member that raised, a verification failure
-to ``<group>-verify``, and either way the round rolls back and iteration
-stops at the last-known-good state.
+:class:`FixpointGroup` iterates its member passes to a bounded fixpoint
+with *one* snapshot and *one* verification per round; an exception is
+attributed to the member that raised, a verification failure to
+``<group>-verify``, and either way the round rolls back and iteration
+stops at the last-known-good state.  No default pipeline uses a group
+(the sparse ``standard-pipeline`` worklist replaced the dense fixpoint
+suite); :meth:`PassManager.run_group` stays because the end-to-end
+benchmark's tracer (``benchmarks/e2e/spans.py``) wraps it by name.
 """
 
 from __future__ import annotations

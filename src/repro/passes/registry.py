@@ -1,9 +1,10 @@
 """The unified pass registry: every transformation as a declared Pass.
 
 This is the single source of truth for pass order and invalidation
-semantics.  ``pipeline.compile_source``/``abcd``, the ``guarded_*``
-helpers, the CLI, and the bench harness all build their pipelines from
-these definitions — there is no second hand-rolled pass sequence
+semantics.  ``pipeline.compile_source``/``abcd``, the CLI, the
+differential gate, and the bench harness all build their pipelines from
+these definitions through :class:`~repro.passes.session.
+CompilationSession` — there is no second hand-rolled pass sequence
 anywhere.
 
 Invalidation declarations, in brief:
@@ -13,17 +14,15 @@ Invalidation declarations, in brief:
   the CFG-shape analyses it leaves cached are exactly the ones it
   preserves; SSA renaming invalidates name-sensitive analyses (liveness,
   GVN).
-* ``constant-folding`` can fold a constant branch and prune unreachable
-  blocks — it preserves nothing.
-* ``copy-propagation`` and ``dce`` rewrite/remove straight-line
-  instructions only: CFG-shape analyses survive, name/value-sensitive
-  ones do not.
+* ``standard-pipeline`` (copy propagation, constant folding, and DCE on
+  one sparse worklist) can fold a constant branch and prune unreachable
+  blocks, so it preserves only the def-use chains it maintains.
 * ``abcd`` is a pure analysis (``mutates=False``); ``pre`` appends
   compensating checks without touching the CFG; ``check-removal`` deletes
   check instructions without touching the CFG.
 
 Transformation functions are looked up through their defining modules at
-call time (``opt.propagate_copies``, not a captured reference) so the
+call time (``opt.optimize_worklist``, not a captured reference) so the
 fault-injection harness — and monkeypatching tests — keep working against
 the module bindings.
 """
@@ -34,7 +33,7 @@ from typing import Dict, List, Optional
 
 from repro.core.abcd import ABCDConfig
 from repro.ir.function import Function
-from repro.passes.manager import FixpointGroup, Pass, PassContext
+from repro.passes.manager import Pass, PassContext
 
 #: Analyses that only depend on the CFG's shape, not on instruction
 #: contents or variable names.
@@ -74,53 +73,13 @@ class EssaConstructionPass(Pass):
         return None
 
 
-class _StandardOptPass(Pass):
-    """Shared shape of the standard-suite members (run inside the
-    ``standard-pipeline`` fixpoint group, which owns snapshot/verify)."""
-
-    snapshot = False
-    verify = False
-    #: Name of the transform attribute on ``repro.opt`` (call-time lookup).
-    opt_attr = ""
-
-    def should_run(self, fn: Function, ctx: PassContext) -> bool:
-        # The suite assumes single-assignment form; a function whose e-SSA
-        # construction was rolled back stays untouched.
-        return fn.ssa_form != "none"
-
-    def run(self, fn: Function, ctx: PassContext) -> int:
-        import repro.opt as opt
-
-        return getattr(opt, self.opt_attr)(fn)
-
-
-class CopyPropagationPass(_StandardOptPass):
-    name = "copy-propagation"
-    preserves = _CFG_SHAPE
-    opt_attr = "propagate_copies"
-
-
-class ConstantFoldingPass(_StandardOptPass):
-    name = "constant-folding"
-    preserves = ()  # may fold branches and drop unreachable blocks
-    opt_attr = "fold_constants"
-
-
-class DeadCodeEliminationPass(_StandardOptPass):
-    name = "dce"
-    preserves = _CFG_SHAPE
-    opt_attr = "eliminate_dead_code"
-
-
 class StandardPipelinePass(Pass):
     """Copy-prop + const-fold + DCE fused into one sparse worklist.
 
-    Replaces the ``FixpointGroup`` whole-function re-scan loop in the
-    default pipeline: the worklist (:mod:`repro.opt.worklist`) seeds every
-    instruction once and then revisits only transitively affected
-    users/defs through the function's def-use chains, reaching the same
-    fixpoint in a single invocation.  Keeps the group's registry name so
-    pipeline shapes (and their tests) are unchanged.
+    The worklist (:mod:`repro.opt.worklist`) seeds every instruction once
+    and then revisits only transitively affected users/defs through the
+    function's def-use chains, reaching the fixpoint of the dense
+    ``repro.opt.run_standard_pipeline`` rounds in a single invocation.
 
     Declares ``uses`` preserved: all mutation goes through the
     chain-maintaining ``Function`` mutator API, which debug mode verifies
@@ -307,9 +266,6 @@ PASS_REGISTRY: Dict[str, Pass] = {
     for p in [
         InlinePass(),
         EssaConstructionPass(),
-        CopyPropagationPass(),
-        ConstantFoldingPass(),
-        DeadCodeEliminationPass(),
         StandardPipelinePass(),
         AbcdAnalysisPass(),
         PreInsertionPass(),
@@ -320,35 +276,11 @@ PASS_REGISTRY: Dict[str, Pass] = {
 }
 
 
-def standard_opt_group(max_rounds: int = 4) -> FixpointGroup:
-    """The legacy Jalapeño pre-pass suite as a bounded fixpoint group.
-
-    Kept for ablation and as the dense baseline the worklist pass is
-    measured against (``repro.opt.worklist``); the default pipeline now
-    runs :class:`StandardPipelinePass` instead.
-    """
-    return FixpointGroup(
-        "standard-pipeline",
-        [
-            PASS_REGISTRY["copy-propagation"],
-            PASS_REGISTRY["constant-folding"],
-            PASS_REGISTRY["dce"],
-        ],
-        max_rounds=max_rounds,
-    )
-
-
 def default_compile_passes(
     standard_opts: bool = True,
     inline: bool = False,
-    max_rounds: int = 4,
 ) -> List:
-    """The pass list ``compile_source`` runs after lowering.
-
-    ``max_rounds`` is accepted for signature compatibility with the old
-    fixpoint-group pipeline; the worklist pass iterates to quiescence in
-    a single invocation and does not use it.
-    """
+    """The pass list ``compile_source`` runs after lowering."""
     passes: List = []
     if inline:
         passes.append(PASS_REGISTRY["inline"])
@@ -359,7 +291,8 @@ def default_compile_passes(
 
 
 def default_optimize_passes() -> List[Pass]:
-    """The pass list ``abcd``/``guarded_optimize_program`` run."""
+    """The pass list ``CompilationSession.optimize`` (and so ``abcd``)
+    runs."""
     return [
         PASS_REGISTRY["abcd"],
         PASS_REGISTRY["pre"],

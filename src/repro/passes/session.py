@@ -15,8 +15,9 @@ Typical use::
     report = session.optimize(program, profile=profile)
     print(session.stats.format_table())
 
-``pipeline.compile_source``/``abcd``, the ``guarded_*`` helpers, the CLI,
-and the bench harness are all thin wrappers over this class.
+``pipeline.compile_source``/``abcd``, the CLI, the differential gate,
+and the bench harness are all thin wrappers over this class; nothing
+else sequences the ABCD passes.
 """
 
 from __future__ import annotations

@@ -89,14 +89,16 @@ def abcd(
     ``pre=True`` is a convenience that flips the config flag (a profile
     must then be supplied).
 
-    Each function is optimized inside a pass guard: if ABCD raises or
-    produces IR that fails verification, that function rolls back to its
-    unoptimized (checked, correct) form and the failure is recorded in
-    ``report.pass_failures`` — the pipeline itself never crashes.  With
-    ``strict=True`` (or ``config.strict``) such rollbacks raise
+    The ABCD passes run through a :class:`~repro.passes.session.
+    CompilationSession`, so each function is optimized inside the pass
+    manager's sandbox: if ABCD raises or produces IR that fails
+    verification, that function rolls back to its unoptimized (checked,
+    correct) form and the failure is recorded in ``report.pass_failures``
+    — the pipeline itself never crashes.  With ``strict=True`` (or
+    ``config.strict``) such rollbacks raise
     :class:`~repro.errors.PassGuardError` instead.
     """
-    from repro.robustness.guard import guarded_optimize_program
+    from repro.passes.session import CompilationSession
 
     if config is None:
         config = ABCDConfig()
@@ -106,7 +108,7 @@ def abcd(
         config.strict = True
     if config.pre and profile is None:
         raise ValueError("PRE requires a profile (pass profile=...)")
-    report = guarded_optimize_program(program, config, profile)
+    report = CompilationSession(config).optimize(program, profile=profile)
     if verify:
         verify_program(program)
     return report

@@ -5,9 +5,10 @@ A dynamic compiler must never let an analysis bug or a pathological input
 turn into a wrong answer or a hung compile.  This package provides the
 safety net a production JIT would have around ABCD:
 
-* :mod:`repro.robustness.guard` — run every transforming pass against a
-  snapshot; verify afterwards; on any exception or verification failure
-  roll back and continue with the unoptimized-but-correct function;
+* :mod:`repro.robustness.guard` — the failure sink of the pass manager's
+  sandbox, which runs every transforming pass against a snapshot,
+  verifies afterwards, and on any exception or verification failure
+  rolls back and continues with the unoptimized-but-correct function;
 * :mod:`repro.robustness.differential` — execute optimized vs. unoptimized
   programs on the same input and require identical outputs, traps, and
   bounds-error behavior (the final soundness gate);
@@ -26,17 +27,11 @@ from repro.robustness.differential import (
     gated_optimize,
     run_corpus_differential,
 )
-from repro.robustness.guard import (
-    PassGuard,
-    guarded_optimize_program,
-    guarded_standard_pipeline,
-)
+from repro.robustness.guard import PassGuard
 
 __all__ = [
     "PassFailure",
     "PassGuard",
-    "guarded_optimize_program",
-    "guarded_standard_pipeline",
     "DifferentialMismatch",
     "DifferentialResult",
     "GatedResult",

@@ -183,8 +183,9 @@ def gated_optimize(
     is recorded as a ``PassFailure`` in the report, or raised as
     :class:`~repro.errors.SoundnessGateError` in strict mode).
     """
+    from repro.passes.session import CompilationSession
     from repro.pipeline import clone_program
-    from repro.robustness.guard import PassGuard, guarded_optimize_program
+    from repro.robustness.guard import PassGuard, _restore_in_place
 
     if config is None:
         config = ABCDConfig()
@@ -193,9 +194,8 @@ def gated_optimize(
 
     candidate = clone_program(program)
     guard = PassGuard(strict=strict)
-    report = guarded_optimize_program(
-        candidate, config, profile, guard=guard, capture=capture
-    )
+    session = CompilationSession(config=config, guard=guard)
+    report = session.optimize(candidate, profile=profile, capture=capture)
 
     differentials = []
     reverted = False
@@ -221,8 +221,7 @@ def gated_optimize(
     else:
         # Commit: move the optimized bodies into the caller's program
         # without changing the Program object's identity.
-        program.__dict__.clear()
-        program.__dict__.update(candidate.__dict__)
+        _restore_in_place(program, candidate)
 
     return GatedResult(
         program=program,
@@ -261,8 +260,8 @@ def run_corpus_differential(
     import dataclasses
 
     from repro.bench.corpus import CORPUS
+    from repro.passes.session import CompilationSession
     from repro.pipeline import clone_program, compile_source
-    from repro.robustness.guard import guarded_optimize_program
     from repro.runtime.profiler import collect_profile
 
     verdicts = []
@@ -277,7 +276,7 @@ def run_corpus_differential(
             collect_profile(compiled, "main", fuel=fuel) if cfg.pre else None
         )
         optimized = clone_program(compiled)
-        report = guarded_optimize_program(optimized, cfg, profile)
+        report = CompilationSession(cfg).optimize(optimized, profile=profile)
         result = compare_programs(compiled, optimized, "main", (), fuel)
         verdicts.append(CorpusDifferential(program_def.name, result, report))
     return verdicts

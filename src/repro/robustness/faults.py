@@ -417,7 +417,7 @@ FAULTS: Dict[str, FaultSpec] = {
         ),
         FaultSpec(
             "abcd-raises", "pass",
-            "inequality-graph construction raises inside optimize_function",
+            "inequality-graph construction raises inside the abcd analysis pass",
             "rollback", "off_by_one",
             _abcd_raises,
         ),

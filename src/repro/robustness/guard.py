@@ -1,33 +1,27 @@
-"""Pass sandboxing: snapshot → transform → verify → keep or roll back.
+"""Pass sandboxing: the failure sink of snapshot → transform → verify →
+keep or roll back.
 
-Every transforming pass (the standard opt suite, ABCD itself, inlining)
-runs inside a :class:`PassGuard`.  The guard snapshots the function (or
-whole program) with a structural clone first, runs the pass, then re-runs
-the IR verifier.  If the pass raises *or* leaves malformed IR behind, the
-guard restores the snapshot in place, records a structured
-:class:`~repro.core.abcd.PassFailure`, and lets compilation continue with
+Every transforming pass (the standard opt worklist, ABCD itself,
+inlining) runs inside the :class:`~repro.passes.manager.PassManager`'s
+sandbox: the manager snapshots the function (or whole program) with a
+structural clone first, runs the pass, then re-runs the IR verifier.  If
+the pass raises *or* leaves malformed IR behind, the manager restores the
+snapshot in place (:func:`_restore_in_place`) and hands the exception to
+the session's :class:`PassGuard`, which records a structured
+:class:`~repro.core.abcd.PassFailure` and lets compilation continue with
 the unoptimized-but-correct code — graceful degradation, never a crash.
 
 In ``strict`` mode the guard re-raises as
 :class:`~repro.errors.PassGuardError` instead, turning every contained
 rollback into a hard error (useful in CI and while debugging a pass).
-
-The :class:`~repro.passes.manager.PassManager` applies this protocol
-uniformly to every registered pass; the ``guarded_*`` helpers below are
-compatibility wrappers that drive the same registered pass lists.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import List
 
-from repro.core.abcd import ABCDConfig, ABCDReport, PassFailure
+from repro.core.abcd import PassFailure
 from repro.errors import IRVerificationError, PassGuardError
-from repro.ir.function import Function, Program
-from repro.ir.verifier import verify_function
-from repro.runtime.profiler import Profile
-
-T = TypeVar("T")
 
 
 def _restore_in_place(target, snapshot) -> None:
@@ -39,7 +33,8 @@ def _restore_in_place(target, snapshot) -> None:
 
 
 class PassGuard:
-    """Sandbox for transforming passes with rollback-on-failure.
+    """Failure accounting for the pass manager's rollback-on-failure
+    sandbox.
 
     One guard instance accumulates the failures of a whole compilation, so
     callers get a single telemetry stream (``guard.failures``) across all
@@ -50,67 +45,11 @@ class PassGuard:
         self.strict = strict
         self.failures: List[PassFailure] = []
 
-    # ------------------------------------------------------------------
-    # Core protocol.
-    # ------------------------------------------------------------------
-
-    def run_function_pass(
-        self,
-        pass_name: str,
-        fn: Function,
-        action: Callable[[], T],
-        verify: bool = True,
-    ) -> Optional[T]:
-        """Run ``action`` (which mutates ``fn``) under the guard.
-
-        Returns the action's result, or ``None`` when the pass failed and
-        ``fn`` was rolled back to its pre-pass state.
-        """
-        snapshot = fn.clone()
-        try:
-            result = action()
-            if verify:
-                verify_function(fn)
-            return result
-        except Exception as exc:
-            # Restore before the strict-mode escalation so even a hard
-            # error leaves the function in its consistent pre-pass state.
-            _restore_in_place(fn, snapshot)
-            self.contain(pass_name, fn.name, exc)
-            return None
-
-    def run_program_pass(
-        self,
-        pass_name: str,
-        program: Program,
-        action: Callable[[], T],
-        verify: bool = True,
-    ) -> Optional[T]:
-        """Like :meth:`run_function_pass` for whole-program transforms
-        (inlining); rollback restores every function."""
-        snapshot = program.clone()
-        try:
-            result = action()
-            if verify:
-                for fn in program.functions.values():
-                    verify_function(fn)
-            return result
-        except Exception as exc:
-            _restore_in_place(program, snapshot)
-            self.contain(pass_name, "<program>", exc)
-            return None
-
-    # ------------------------------------------------------------------
-    # Failure accounting.
-    # ------------------------------------------------------------------
-
     def contain(self, pass_name: str, function: str, exc: Exception) -> None:
         """Record one contained failure (or escalate in strict mode).
 
-        The caller is responsible for having rolled back already — this
-        only does the bookkeeping, so drivers with cheaper-than-deepcopy
-        rollback strategies can reuse the guard's telemetry and strict
-        semantics.
+        The caller (the pass manager) is responsible for having rolled
+        back already — this only does the bookkeeping.
         """
         failure = PassFailure(
             pass_name=pass_name,
@@ -126,60 +65,3 @@ class PassGuard:
     @property
     def rollback_count(self) -> int:
         return len(self.failures)
-
-
-# ----------------------------------------------------------------------
-# Guarded drivers for the pipeline.
-# ----------------------------------------------------------------------
-
-
-def guarded_standard_pipeline(
-    fn: Function,
-    guard: PassGuard,
-    max_rounds: int = 4,
-) -> int:
-    """The standard opt suite under the guard.
-
-    Compatibility wrapper: drives the registered ``standard-pipeline``
-    fixpoint group through a one-off pass-manager context.  One snapshot
-    and one verification per round (not per pass) keeps the sandbox
-    overhead low; an exception is still attributed to the member that
-    raised it, while malformed IR discovered by the round-end verification
-    is attributed to ``standard-pipeline-verify``.  Either way the whole
-    round rolls back and iteration stops — the function simply stays at
-    its last-known-good optimization level.
-    """
-    from repro.passes.analysis import AnalysisManager
-    from repro.passes.manager import PassContext, PassManager, SessionStats
-    from repro.passes.registry import standard_opt_group
-
-    analysis = AnalysisManager()
-    ctx = PassContext(
-        program=None, analysis=analysis, guard=guard, stats=SessionStats(analysis)
-    )
-    return PassManager(ctx).run_group(standard_opt_group(max_rounds), fn)
-
-
-def guarded_optimize_program(
-    program: Program,
-    config: Optional[ABCDConfig] = None,
-    profile: Optional[Profile] = None,
-    functions: Optional[Sequence[str]] = None,
-    guard: Optional[PassGuard] = None,
-    capture=None,
-) -> ABCDReport:
-    """Run the ABCD pass list over every (or the named) functions, each
-    pass inside the guard.
-
-    Compatibility wrapper over :class:`~repro.passes.session.
-    CompilationSession.optimize`.  A function whose analysis raises is
-    skipped (keeping its checks — sound), a removal that emits malformed
-    IR is rolled back, and every contained failure lands in
-    ``report.pass_failures``; the remaining functions still get optimized.
-    """
-    from repro.passes.session import CompilationSession
-
-    session = CompilationSession(config=config, guard=guard)
-    return session.optimize(
-        program, profile=profile, functions=functions, capture=capture
-    )

@@ -251,19 +251,17 @@ fn main(): int {
         profile = collect_profile(program, "main")
         hottest = profile.hot_checks()[:1]
         config = ABCDConfig(hot_checks=set(hottest))
-        from repro.core.abcd import optimize_program
+        from repro.pipeline import abcd
 
-        report = optimize_program(program, config)
+        report = abcd(program, config)
         assert report.analyzed == 1
         assert report.analyses[0].check_id == hottest[0]
 
     def test_bad_gvn_mode_rejected(self):
-        from repro.core.abcd import optimize_program
-        from repro.pipeline import compile_source
-
-        program = compile_source(self.SRC)
-        with pytest.raises(ValueError):
-            optimize_program(program, ABCDConfig(gvn_mode="bogus"))
+        # Rejected when the config is built, so no entry point can run
+        # (or contain as a pass failure) a session with an unknown mode.
+        with pytest.raises(ValueError, match="gvn_mode"):
+            ABCDConfig(gvn_mode="bogus")
 
 
 class TestScopeClassification:

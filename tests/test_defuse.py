@@ -13,12 +13,12 @@ import pytest
 
 import repro.opt as opt
 from repro.bench.corpus import get, names
-from repro.core.abcd import optimize_function
 from repro.errors import DefUseIntegrityError
 from repro.ir import format_function
 from repro.ir.defuse import DefUseChains
 from repro.ir.instructions import BinOp, CheckUpper, Const, Copy, Phi, Var
 from repro.ir.verifier import verify_def_use
+from repro.passes.session import CompilationSession
 from repro.pipeline import compile_source
 
 SMALL_SRC = """
@@ -184,7 +184,7 @@ def _apply_step(step: str, program, fn) -> None:
     if step == "worklist":
         opt.optimize_worklist(fn)
     elif step == "abcd":
-        optimize_function(fn, program)
+        CompilationSession(strict=True).optimize(program, functions=[fn.name])
     elif step == "legacy-dense":
         # Legacy dense passes invalidate the index up front; the next
         # def_use() must transparently rebuild a consistent one.

@@ -3,7 +3,7 @@ budgets, zero-length arrays, empty hot sets, and configuration corners."""
 
 import pytest
 
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.core.graph import InequalityGraph, const_node, len_node, var_node
 from repro.core.lattice import ProofResult
 from repro.core.solver import DemandProver, demand_prove
@@ -219,13 +219,13 @@ fn main(): int {
 
     def test_empty_hot_set_analyzes_nothing(self):
         program = compile_source(self.SRC)
-        report = optimize_program(program, ABCDConfig(hot_checks=set()))
+        report = abcd(program, ABCDConfig(hot_checks=set()))
         assert report.analyzed == 0
         assert run(program, "main").stats.total_checks > 0
 
     def test_both_kinds_disabled(self):
         program = compile_source(self.SRC)
-        report = optimize_program(program, ABCDConfig(upper=False, lower=False))
+        report = abcd(program, ABCDConfig(upper=False, lower=False))
         assert report.analyzed == 0
 
     def test_verify_flag_off(self):
@@ -239,7 +239,7 @@ fn main(): int {
         config = ABCDConfig()
         snapshot = dataclasses.asdict(config)
         program = compile_source(self.SRC)
-        optimize_program(program, config)
+        abcd(program, config)
         assert dataclasses.asdict(config) == snapshot
 
 

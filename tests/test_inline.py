@@ -8,7 +8,7 @@ from repro.ir.instructions import Call
 from repro.ir.lowering import lower_program
 from repro.ir.verifier import verify_program
 from repro.opt.inline import Inliner, inline_program, recursive_functions
-from repro.pipeline import clone_program, compile_source, run
+from repro.pipeline import abcd, clone_program, compile_source, run
 from repro.runtime.interpreter import run_program
 from repro.ssa.essa import construct_essa
 
@@ -170,14 +170,14 @@ fn main(): int {
 """
 
     def test_more_checks_provable_after_inlining(self):
-        from repro.core.abcd import ABCDConfig, optimize_program
+        from repro.core.abcd import ABCDConfig
 
         plain = compile_source(self.SRC)
-        plain_report = optimize_program(plain, ABCDConfig())
+        plain_report = abcd(plain, ABCDConfig())
 
         inlined = compile_source(self.SRC, inline=True)
         base = clone_program(inlined)
-        inlined_report = optimize_program(inlined, ABCDConfig())
+        inlined_report = abcd(inlined, ABCDConfig())
 
         assert run(inlined, "main").value == run(base, "main").value == 64
         assert (

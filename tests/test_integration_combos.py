@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.loop_versioning import version_program_loops
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.core.extensions import merge_program_unsigned_checks
 from repro.frontend.parser import parse_source
 from repro.frontend.semantic import check_program
@@ -11,7 +11,7 @@ from repro.ir.lowering import lower_program
 from repro.ir.verifier import verify_program
 from repro.opt import run_standard_pipeline
 from repro.opt.inline import inline_program
-from repro.pipeline import clone_program, compile_source, run
+from repro.pipeline import abcd, clone_program, compile_source, run
 from repro.runtime.codegen import compile_to_python
 from repro.runtime.profiler import collect_profile
 from repro.ssa.essa import construct_essa
@@ -51,7 +51,7 @@ def full_pipeline(source: str, inline: bool, pre: bool, merge: bool):
     """inline -> e-SSA -> std opts -> ABCD(+PRE) -> unsigned merge."""
     program = compile_source(source, inline=inline)
     profile = collect_profile(program, "main") if pre else None
-    optimize_program(program, ABCDConfig(pre=pre), profile)
+    abcd(program, ABCDConfig(pre=pre), profile)
     if merge:
         merge_program_unsigned_checks(program)
     verify_program(program)
@@ -93,7 +93,7 @@ def test_versioning_then_abcd_composes():
         run_standard_pipeline(fn)
     baseline_value = run(compile_source(SRC), "main").value
     before = run(clone_program(program), "main")
-    optimize_program(program, ABCDConfig())
+    abcd(program, ABCDConfig())
     verify_program(program)
     after = run(program, "main")
     assert after.value == before.value == baseline_value
@@ -112,7 +112,7 @@ def test_inline_then_pre_hoists_more():
 
 def test_report_scopes_follow_structure():
     program = compile_source(SRC)
-    report = optimize_program(program, ABCDConfig())
+    report = abcd(program, ABCDConfig())
     for analysis in report.analyses:
         if analysis.eliminated:
             assert analysis.scope in ("local", "global")

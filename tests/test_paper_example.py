@@ -10,12 +10,12 @@ variant obtained by deleting ``limit := A.length``.
 
 import pytest
 
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.core.constraints import build_graphs
 from repro.core.graph import len_node
 from repro.core.solver import demand_prove
 from repro.ir.instructions import CheckLower, CheckUpper, Phi, Pi
-from repro.pipeline import clone_program, compile_source, run
+from repro.pipeline import abcd, clone_program, compile_source, run
 from repro.runtime.profiler import collect_profile
 from repro.ssa.construct import base_name
 
@@ -123,7 +123,7 @@ class TestHeadlineClaim:
     def test_all_sort_checks_eliminated(self):
         program = compiled()
         base = clone_program(program)
-        report = optimize_program(program, ABCDConfig())
+        report = abcd(program, ABCDConfig())
         sort_checks = [a for a in report.analyses if a.function == "sort"]
         assert sort_checks, "no checks analyzed in sort"
         assert all(a.eliminated for a in sort_checks)
@@ -143,7 +143,7 @@ class TestHeadlineClaim:
         subsumed by the first one's C5 π, which Figure 6 counts as local.)
         """
         program = compiled()
-        report = optimize_program(program, ABCDConfig())
+        report = abcd(program, ABCDConfig())
         sort_uppers = [
             a
             for a in report.analyses
@@ -159,7 +159,7 @@ class TestHeadlineClaim:
 
     def test_steps_are_modest(self):
         program = compiled()
-        report = optimize_program(program, ABCDConfig())
+        report = abcd(program, ABCDConfig())
         assert report.mean_steps < 60  # sparse representation, no blowup
 
 
@@ -188,7 +188,7 @@ fn main(): int {
 
     def test_full_redundancy_fails_without_the_length_link(self):
         program = compile_source(self.SRC)
-        report = optimize_program(program, ABCDConfig())
+        report = abcd(program, ABCDConfig())
         failing = [
             a
             for a in report.analyses
@@ -200,7 +200,7 @@ fn main(): int {
         program = compile_source(self.SRC)
         base = clone_program(program)
         profile = collect_profile(program, "main")
-        report = optimize_program(program, ABCDConfig(pre=True), profile)
+        report = abcd(program, ABCDConfig(pre=True), profile)
         pre_applied = [a for a in report.analyses if a.pre_applied]
         assert pre_applied
         base_run = run(base, "main")

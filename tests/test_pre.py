@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.abcd import ABCDConfig, optimize_program
+from repro.core.abcd import ABCDConfig
 from repro.ir.instructions import CheckUpper, SpeculativeCheck
-from repro.pipeline import clone_program, compile_source, run
+from repro.pipeline import abcd, clone_program, compile_source, run
 from repro.runtime.profiler import collect_profile
 from tests.conftest import optimize_and_compare
 
@@ -103,7 +103,7 @@ fn main(): int {
         base = clone_program(program)
         profile = collect_profile(program, "main")
         config = ABCDConfig(pre=True)
-        optimize_program(program, config, profile)
+        abcd(program, config, profile)
 
         base_value = run(base, "kernel", [make_array(8), 99, 5]).value
         opt_result = run(program, "kernel", [make_array(8), 99, 5])
@@ -116,7 +116,7 @@ fn main(): int {
         program = compile_source(src)
         base = clone_program(program)
         profile = collect_profile(program, "main")
-        optimize_program(program, ABCDConfig(pre=True), profile)
+        abcd(program, ABCDConfig(pre=True), profile)
 
         args = [make_array(8), 100, 5]
         with pytest.raises(BoundsCheckError) as base_exc:

@@ -16,7 +16,16 @@ from repro.errors import (
     PassGuardError,
     SoundnessGateError,
 )
+from repro.ir.verifier import verify_function
 from repro.limits import recursion_headroom
+from repro.passes import (
+    AnalysisManager,
+    FixpointGroup,
+    Pass,
+    PassContext,
+    PassManager,
+    SessionStats,
+)
 from repro.pipeline import abcd, clone_program, compile_source, run
 from repro.robustness.differential import (
     assert_equivalent,
@@ -24,11 +33,7 @@ from repro.robustness.differential import (
     execute_outcome,
     gated_optimize,
 )
-from repro.robustness.guard import (
-    PassGuard,
-    guarded_optimize_program,
-    guarded_standard_pipeline,
-)
+from repro.robustness.guard import PassGuard
 
 LOOP_SRC = """
 fn main(): int {
@@ -130,40 +135,71 @@ class TestSolverBudgets:
         assert report.budget_exhausted_count > 0
 
 
+class _StubPass(Pass):
+    """A pass whose body is the test's callable, sandboxed by the
+    manager's default snapshot → run → verify protocol."""
+
+    def __init__(self, name, action, scope="function"):
+        self.name = name
+        self.scope = scope
+        self._action = action
+
+    def run(self, fn, ctx):
+        return self._action()
+
+
+def _manager(program, strict=False):
+    analysis = AnalysisManager()
+    return PassManager(
+        PassContext(
+            program=program,
+            analysis=analysis,
+            guard=PassGuard(strict=strict),
+            stats=SessionStats(analysis),
+        )
+    )
+
+
 class TestPassGuard:
+    """The pass manager's sandbox, with the guard as its failure sink."""
+
     def test_successful_pass_keeps_result(self):
-        fn = compile_source(LOOP_SRC).function("main")
-        guard = PassGuard()
-        result = guard.run_function_pass("noop", fn, lambda: 42)
+        program = compile_source(LOOP_SRC)
+        fn = program.function("main")
+        manager = _manager(program)
+        result = manager.run_function_pass(_StubPass("noop", lambda: 42), fn)
         assert result == 42
-        assert guard.rollback_count == 0
+        assert manager.ctx.guard.rollback_count == 0
 
     def test_raising_pass_rolls_back(self):
-        fn = compile_source(LOOP_SRC).function("main")
+        program = compile_source(LOOP_SRC)
+        fn = program.function("main")
         before = len(fn.blocks[fn.entry].body)
 
         def bad_pass():
             fn.blocks[fn.entry].body.clear()
             raise RuntimeError("pass exploded")
 
-        guard = PassGuard()
-        assert guard.run_function_pass("bad", fn, bad_pass) is None
+        manager = _manager(program)
+        assert manager.run_function_pass(_StubPass("bad", bad_pass), fn) is None
         assert len(fn.blocks[fn.entry].body) == before
-        (failure,) = guard.failures
+        (failure,) = manager.ctx.guard.failures
         assert failure.pass_name == "bad"
         assert failure.stage == "exception"
         assert failure.error_type == "RuntimeError"
 
     def test_malformed_ir_rolls_back(self):
-        fn = compile_source(LOOP_SRC).function("main")
+        program = compile_source(LOOP_SRC)
+        fn = program.function("main")
 
         def corrupting_pass():
             fn.blocks[fn.entry].terminator = None  # verifier must catch
 
-        guard = PassGuard()
-        assert guard.run_function_pass("corrupt", fn, corrupting_pass) is None
+        manager = _manager(program)
+        corrupt = _StubPass("corrupt", corrupting_pass)
+        assert manager.run_function_pass(corrupt, fn) is None
         assert fn.blocks[fn.entry].terminator is not None
-        (failure,) = guard.failures
+        (failure,) = manager.ctx.guard.failures
         assert failure.stage == "verify"
 
     def test_rollback_preserves_identity(self):
@@ -175,19 +211,21 @@ class TestPassGuard:
         def bad_pass():
             raise ValueError("no")
 
-        PassGuard().run_function_pass("bad", fn, bad_pass)
+        _manager(program).run_function_pass(_StubPass("bad", bad_pass), fn)
         assert program.function("main") is fn
 
     def test_strict_mode_escalates(self):
-        fn = compile_source(LOOP_SRC).function("main")
-        guard = PassGuard(strict=True)
+        program = compile_source(LOOP_SRC)
+        fn = program.function("main")
+        manager = _manager(program, strict=True)
         with pytest.raises(PassGuardError, match="boom"):
-            guard.run_function_pass(
-                "bad", fn, lambda: (_ for _ in ()).throw(RuntimeError("boom"))
+            manager.run_function_pass(
+                _StubPass(
+                    "bad", lambda: (_ for _ in ()).throw(RuntimeError("boom"))
+                ),
+                fn,
             )
         # Even on escalation the function was restored first.
-        from repro.ir.verifier import verify_function
-
         verify_function(fn)
 
     def test_program_pass_rollback(self):
@@ -197,28 +235,42 @@ class TestPassGuard:
             program.functions.clear()
             raise RuntimeError("gone")
 
-        guard = PassGuard()
-        assert guard.run_program_pass("nuke", program, nuke) is None
+        manager = _manager(program)
+        nuke_pass = _StubPass("nuke", nuke, scope="program")
+        assert manager.run_program_pass(nuke_pass) is None
         assert "main" in program.functions
-        assert guard.failures[0].function == "<program>"
+        assert manager.ctx.guard.failures[0].function == "<program>"
 
-    def test_guarded_standard_pipeline_contains_failures(self, monkeypatch):
-        import repro.opt as opt
+    def test_fixpoint_group_contains_member_failure(self):
+        program = compile_source(LOOP_SRC, standard_opts=False)
+        fn = program.function("main")
+        before = len(fn.blocks[fn.entry].body)
 
-        def bad_fold(fn):
+        def clearing_copy_prop():
+            fn.blocks[fn.entry].body.clear()
+            return 1
+
+        def bad_fold():
             raise RuntimeError("folding bug")
 
-        monkeypatch.setattr(opt, "fold_constants", bad_fold)
-        fn = compile_source(LOOP_SRC, standard_opts=False).function("main")
-        guard = PassGuard()
-        guarded_standard_pipeline(fn, guard)
+        group = FixpointGroup(
+            "standard-pipeline",
+            [
+                _StubPass("copy-propagation", clearing_copy_prop),
+                _StubPass("constant-folding", bad_fold),
+                _StubPass("dce", lambda: 0),
+            ],
+        )
+        manager = _manager(program)
+        manager.run_group(group, fn)
+        guard = manager.ctx.guard
         assert guard.rollback_count == 1
         assert guard.failures[0].pass_name == "constant-folding"
-        from repro.ir.verifier import verify_function
-
+        # The whole round rolled back, including the member that succeeded.
+        assert len(fn.blocks[fn.entry].body) == before
         verify_function(fn)
 
-    def test_guarded_optimize_program_survives_abcd_crash(self, monkeypatch):
+    def test_abcd_survives_analysis_crash(self, monkeypatch):
         import repro.core.abcd as abcd_module
 
         def exploding(fn):
@@ -226,7 +278,7 @@ class TestPassGuard:
 
         monkeypatch.setattr(abcd_module, "build_graphs", exploding)
         program = compile_source(LOOP_SRC)
-        report = guarded_optimize_program(program, ABCDConfig())
+        report = abcd(program, ABCDConfig())
         assert report.rollback_count == 1
         assert report.rollbacks_by_pass() == {"abcd": 1}
         assert run(program, "main").value == 28
