@@ -16,8 +16,9 @@ Commands:
   programs, unoptimized vs optimized execution, triage + shrinking);
 * ``serve``          — run the crash-isolated compile service (NDJSON
   over stdin/stdout or a Unix socket, supervised worker pool);
-* ``storm``          — chaos-test the compile service under injected
-  process faults and verify the no-lost-request guarantee.
+* ``storm``          — storm the compile service under injected process
+  faults (``--burst``: overload, ``--corrupt``: store corruption) and
+  verify the no-lost-request guarantee.
 
 Long-running commands (``bench``, ``fuzz``) catch SIGINT/SIGTERM, emit
 their partial report, and exit with :data:`EXIT_INTERRUPTED` (130)
@@ -581,11 +582,6 @@ def cmd_serve(args) -> int:
         jitter_seed=args.jitter_seed,
         breaker_jitter=args.breaker_jitter,
     )
-    if args.chaos:
-        # Testing only: forward a chaos spec to the workers.  Production
-        # servers leave this unset, which also makes workers ignore any
-        # per-request "chaos" fields a client might try.
-        config.chaos = json.loads(args.chaos)
     supervisor = Supervisor(config=config)
     if args.socket:
         print(f"serving on unix socket {args.socket}", file=sys.stderr)
@@ -609,8 +605,10 @@ def cmd_serve(args) -> int:
 
 
 def cmd_storm(args) -> int:
-    """Chaos-storm the compile service; exit 1 on any lost/wrong request."""
-    from repro.serve.chaos import format_storm, run_storm
+    """Storm the compile service; exit 1 on any lost or wrong request."""
+    import json
+
+    from repro.serve import chaos
 
     def progress(position, response):
         if args.quiet:
@@ -619,64 +617,35 @@ def cmd_storm(args) -> int:
         if mode not in ("optimized", "cached"):
             print(f"  request {position}: {mode}", file=sys.stderr)
 
-    if args.corrupt:
-        from repro.serve.chaos import format_corruption_storm, run_corruption_storm
-
-        result = run_corruption_storm(
-            requests=args.requests,
-            disk_fault_rate=args.disk_fault_rate,
-            kill_rate=args.kill_rate,
-            seed=args.seed,
-            workers=args.workers,
-            deadline=args.deadline,
-            cache_dir=args.cache_dir,
-            min_warm_hit_rate=args.min_warm_hit_rate,
-            progress=progress,
-        )
-        if args.json:
-            import json
-
-            print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-        else:
-            print(format_corruption_storm(result))
-        return 0 if result.passed else 1
-
-    if args.burst:
-        from repro.serve.chaos import format_burst_storm, run_burst_storm
-
-        result = run_burst_storm(
-            requests=args.requests,
-            burst_multiple=args.burst_multiple,
-            fault_rate=args.fault_rate,
-            seed=args.seed,
-            workers=args.workers,
-            deadline=args.deadline,
-            queue_capacity=args.queue_capacity,
-            min_p99_improvement=args.min_p99_improvement,
-            progress=progress,
-        )
-        if args.json:
-            import json
-
-            print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-        else:
-            print(format_burst_storm(result))
-        return 0 if result.passed else 1
-
-    result = run_storm(
+    common = dict(
         requests=args.requests,
-        fault_rate=args.fault_rate,
         seed=args.seed,
         workers=args.workers,
         deadline=args.deadline,
         progress=progress,
     )
+    if args.corrupt:
+        result = chaos.run_corruption_storm(
+            disk_fault_rate=args.disk_fault_rate,
+            kill_rate=args.kill_rate,
+            cache_dir=args.cache_dir,
+            min_warm_hit_rate=args.min_warm_hit_rate,
+            **common,
+        )
+    elif args.burst:
+        result = chaos.run_burst_storm(
+            burst_multiple=args.burst_multiple,
+            fault_rate=args.fault_rate,
+            queue_capacity=args.queue_capacity,
+            min_p99_improvement=args.min_p99_improvement,
+            **common,
+        )
+    else:
+        result = chaos.run_storm(fault_rate=args.fault_rate, **common)
     if args.json:
-        import json
-
         print(json.dumps(result.to_json(), indent=2, sort_keys=True))
     else:
-        print(format_storm(result))
+        print(chaos.format_report(result))
     return 0 if result.passed else 1
 
 
@@ -930,10 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent certificate store: hits are certificate-replayed "
         "by the supervisor and pushed to workers; misses are captured "
         "and stored; open breakers persist here across restarts",
-    )
-    serve_parser.add_argument(
-        "--chaos", metavar="JSON",
-        help="(testing) chaos fault spec forwarded to workers",
     )
     serve_parser.add_argument(
         "--no-overload", action="store_true",

@@ -43,16 +43,24 @@ def recursion_headroom(needed: int) -> Iterator[None]:
         sys.setrecursionlimit(old_limit)
 
 
+#: Interval at which a fired :func:`hard_deadline` fires again until the
+#: context exits.  An alarm landing in a gc callback or ``__del__`` is
+#: reported as unraisable and lost; the re-fire bounds the body anyway.
+#: Unwinding a delivered deadline takes far less, so no re-fire cuts a
+#: ``finally`` in the body short.
+_REFIRE_SECONDS = 0.05
+
+
 class HardDeadlineExceeded(BaseException):
     """The :func:`hard_deadline` wall-clock ceiling fired.
 
     A ``BaseException`` (like :class:`KeyboardInterrupt`) so the
     containment layers that may be running *under* the deadline — the
     pass guard's ``except Exception`` rollback in particular — cannot
-    swallow it.  A contained deadline would be worse than a late one:
-    the one-shot timer is already spent, so the body would run on with
-    no wall-clock bound at all.  Catch it explicitly at the layer that
-    armed the deadline, never via a blanket ``except Exception``."""
+    swallow it.  A contained deadline would be recorded as a pass
+    rollback, and the body would run on until the next re-fire.  Catch
+    it explicitly at the layer that armed the deadline, never via a
+    blanket ``except Exception``."""
 
 
 @contextlib.contextmanager
@@ -63,9 +71,11 @@ def hard_deadline(
     """Bound the body with a ``SIGALRM`` wall-clock ceiling.
 
     When the timer fires, the exception produced by ``make_error``
-    (default: :class:`HardDeadlineExceeded`) is raised *inside* the body.
-    The previous handler and any previously armed itimer are restored on
-    exit, so nested deadlines and surrounding alarms are preserved.
+    (default: :class:`HardDeadlineExceeded`) is raised *inside* the body,
+    and again every :data:`_REFIRE_SECONDS` until the body exits, so a
+    swallowed deadline is not a spent one.  Exit disarms the timer first,
+    then restores the previous handler and any previously armed itimer,
+    so nested deadlines and surrounding alarms are preserved.
 
     This is a **main-thread-only** guard: ``SIGALRM`` can only be
     delivered to the main thread, and only one itimer exists per process.
@@ -87,16 +97,17 @@ def hard_deadline(
         if make_error is not None:
             raise make_error()
         raise HardDeadlineExceeded(
-            f"exceeded {seconds:.1f}s wall-clock deadline"
+            f"exceeded {seconds:g}s wall-clock deadline"
         )
 
     previous_handler = signal.signal(signal.SIGALRM, on_timeout)
-    previous_delay, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    previous_timer = signal.setitimer(signal.ITIMER_REAL, seconds, _REFIRE_SECONDS)
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, previous_delay)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous_handler)
+        signal.setitimer(signal.ITIMER_REAL, *previous_timer)
 
 
 def address_space_cap(max_bytes: int) -> bool:

@@ -25,6 +25,11 @@ Every fault carries its *expected containment*:
 ``tests/test_fault_injection.py`` asserts every fault lands in its
 expected bucket and that no fault ever crashes the pipeline or lets a
 behavioral divergence escape.
+
+Three tables for three injection shapes: :data:`FAULTS` wraps a compile
+in a context manager, :data:`CHAOS_FAULTS` is a call a service worker
+makes on itself, :data:`DISK_FAULTS` rewrites a store entry file or wraps
+the atomic writer.
 """
 
 from __future__ import annotations
@@ -617,7 +622,9 @@ def run_all_trials(
 # failure domain: the worker subprocess itself can die, hang, run out of
 # memory, or scribble on its response pipe.  Each chaos fault below
 # executes *inside a worker* at the optimization injection point
-# (see :mod:`repro.serve.worker`); the supervisor must recover via its
+# (see :mod:`repro.serve.worker`) when a request names it and the
+# worker's supervisor armed chaos (``ServeConfig.chaos``); the worker
+# imports this module only then.  The supervisor must recover via its
 # deadline / retry / circuit-breaker / degradation machinery, never by
 # dying.  ``tests/test_serve.py`` and the ``repro storm`` harness assert
 # exactly that.
@@ -954,31 +961,3 @@ CORRUPTING_DISK_FAULTS = tuple(
     if spec.mode == "at-rest" and spec.expect_reason is not None
 )
 
-
-def decide_chaos_fault(
-    seed: int,
-    request_id,
-    attempt: int,
-    rate: float,
-    names: Optional[Sequence[str]] = None,
-) -> Optional[str]:
-    """Deterministic per-attempt fault decision for rate-based chaos.
-
-    Hashing ``(seed, request_id, attempt)`` makes a campaign replayable
-    (same seed ⇒ same faults) while still letting a *retry* of the same
-    request draw a fresh decision — exactly how a real transient fault
-    behaves under retry.
-    """
-    import hashlib
-    import random
-
-    if rate <= 0:
-        return None
-    pool = list(names) if names else list(CHAOS_FAULTS)
-    digest = hashlib.sha256(
-        f"{seed}:{request_id}:{attempt}".encode("utf-8")
-    ).digest()
-    rng = random.Random(int.from_bytes(digest[:8], "big"))
-    if rng.random() >= rate:
-        return None
-    return rng.choice(sorted(pool))

@@ -22,27 +22,12 @@ Layers (each its own module):
   adaptive degradation ladder that sheds certification, then
   optimization, then admission as queue latency climbs;
 * :mod:`repro.serve.chaos` — the storm harness that drives the service
-  under injected process-level faults (and, with ``--burst``, open-loop
-  overload) and verifies the no-lost-request / degraded-but-correct
-  guarantees.
+  under injected process faults, open-loop overload (``--burst``) and
+  at-rest store corruption (``--corrupt``), and verifies the
+  no-lost-request / degraded-but-correct guarantees.
+
+The package re-exports nothing: import from the module that defines a
+name.  A worker imports only :mod:`~repro.serve.protocol` and
+:mod:`~repro.serve.worker` from here, so supervisor, breaker, overload
+and harness code stay off its import path.
 """
-
-from repro.serve.breaker import BreakerState, CircuitBreaker
-from repro.serve.overload import (
-    DegradationLadder,
-    OverloadConfig,
-    OverloadController,
-    VirtualClock,
-)
-from repro.serve.supervisor import ServeConfig, Supervisor
-
-__all__ = [
-    "BreakerState",
-    "CircuitBreaker",
-    "DegradationLadder",
-    "OverloadConfig",
-    "OverloadController",
-    "ServeConfig",
-    "Supervisor",
-    "VirtualClock",
-]

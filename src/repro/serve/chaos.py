@@ -1,11 +1,17 @@
-"""The chaos storm: drive the compile service under injected process
-faults and verify its two hard guarantees.
+"""The storm harness: drive the compile service under injected faults and
+verify its hard guarantees.
 
-For every request in a seeded storm the harness knows the ground truth
-*before* the service answers: each template is compiled unoptimized and
-executed in the harness process (the same checked-baseline path a
-degraded worker runs).  The service may then answer a request in exactly
-two acceptable ways:
+Three storms share one harness: one report type (one JSON shape, one
+text form), one ground-truth verifier, one supervisor lifecycle, and one
+closed-loop driver beside the burst storm's open-loop one.  Faults are
+named per request: a request's ``"chaos"`` field names a
+:data:`~repro.robustness.faults.CHAOS_FAULTS` entry, which workers run
+only under a supervisor with ``ServeConfig.chaos`` armed.
+
+For every request the harness knows the ground truth *before* the service
+answers: each template is compiled unoptimized and executed in the
+harness process (the same checked-baseline path a degraded worker runs).
+The service may then answer a request in exactly two acceptable ways:
 
 * **optimized-and-gated** — behaviorally identical outcome (value, trap
   class, and failing check identity all equal to the baseline); or
@@ -17,32 +23,29 @@ A storm fails on any lost request (no response), any incorrect response,
 any fatally-faulted request that still claims optimized service, or any
 exception escaping the supervisor (supervisor death).  A ``shed``
 response is an explicit answer — overload backpressure — and is never
-classified as lost.  ``repro storm`` is the CLI entry; the CI
-chaos-smoke job runs a 200-request storm at a 10% fault rate with a
-fixed seed.
+classified as lost.  ``repro storm`` runs :func:`run_storm` (CI
+chaos-smoke), ``--burst`` :func:`run_burst_storm` (overload-smoke) and
+``--corrupt`` :func:`run_corruption_storm` (cache-smoke).
 
-**Time is virtual.** Every storm injects a :class:`VirtualClock` as the
-supervisor clock and advances it by a fixed cost per worker dispatch
-(:data:`SERVICE_TICK`; a timeout costs the full deadline), so queue
-latencies, ladder transitions, and the p50/p95/p99 summaries are pure
-functions of the seeded schedule — byte-identical across runs and
-machines, which is what lets CI gate on them.  Only the worker *pipe*
-deadline stays on the real clock (a hung worker must be killed in real
-seconds).
-
-The **burst storm** (``repro storm --burst``) is the overload sibling:
-an open-loop seeded arrival schedule at a configured multiple of the
-measured service rate, driven through admission control, deadline
-expiry, and the degradation ladder, then replayed against an
-unbounded-queue baseline (``overload_enabled=False``) under the *same*
-schedule to prove the p99 admission-to-response bound.
+**Time is virtual** in the chaos and burst storms: a
+:class:`VirtualClock` is the supervisor clock, advanced by a fixed cost
+per worker dispatch (:data:`SERVICE_TICK`; a timeout costs the full
+deadline), so queue latencies, ladder transitions, and the p50/p95/p99
+summaries are pure functions of the seeded schedule — byte-identical
+across runs and machines, which is what lets CI gate on them.  Only the
+worker *pipe* deadline stays on the real clock (a hung worker must be
+killed in real seconds).
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from collections import Counter
+from dataclasses import dataclass, field, fields
+from typing import (
+    Any, Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from repro.robustness.faults import CHAOS_FAULTS, FATAL_CHAOS_FAULTS
 from repro.serve.overload import (
@@ -130,6 +133,82 @@ def _instantiate(rng: random.Random) -> Dict[str, Any]:
     return {"source": _USER_ERROR_SOURCE, "expect": "error"}
 
 
+# ----------------------------------------------------------------------
+# The shared harness: report, verifier, supervisor lifecycle, drivers.
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class StormReport:
+    """What every storm reports, in one JSON shape and one text form.
+
+    :meth:`to_json` emits every dataclass field except those in
+    ``hidden`` (dicts key-sorted), plus the ``derived`` properties.
+    """
+
+    requests: int = 0
+    seed: int = 0
+    responses: int = 0
+    violations: List[str] = field(default_factory=list)
+    counters: Dict[str, int] = field(default_factory=dict)
+    supervisor_alive: bool = True
+
+    title: ClassVar[str] = "storm"
+    derived: ClassVar[Tuple[str, ...]] = ("lost", "passed")
+    hidden: ClassVar[Tuple[str, ...]] = ()
+
+    @property
+    def lost(self) -> int:
+        return self.requests - self.responses
+
+    @property
+    def passed(self) -> bool:
+        return self.supervisor_alive and self.lost == 0 and not self.violations
+
+    def tally(self, classes: Iterable[str]) -> None:
+        """Count the answer classes :func:`_verify_response` returned
+        that this report has a field for."""
+        for name in classes:
+            if name in self.__dataclass_fields__:
+                setattr(self, name, getattr(self, name) + 1)
+
+    def to_json(self) -> Dict[str, Any]:
+        names = [f.name for f in fields(self) if f.name not in self.hidden]
+        payload: Dict[str, Any] = {}
+        for name in names + list(self.derived):
+            value = getattr(self, name)
+            payload[name] = (
+                dict(sorted(value.items())) if isinstance(value, dict) else value
+            )
+        return payload
+
+
+def format_report(report: StormReport) -> str:
+    """The text form of any storm report: the verdict, then the JSON
+    values one per line (dicts indented below their key), then the
+    violations."""
+    payload = report.to_json()
+    lines = [f"{report.title}: {'PASS' if report.passed else 'FAIL'}"]
+    # Scalars first in field order, then the dict blocks, counters last.
+    order = sorted(
+        payload.items(), key=lambda kv: (isinstance(kv[1], dict), kv[0] == "counters")
+    )
+    for name, value in order:
+        if name in ("violations", "passed"):
+            continue
+        if isinstance(value, dict):
+            lines.append(f"  {name}:" + ("" if value else " none"))
+            lines.extend(f"    {key}: {item}" for key, item in value.items())
+        else:
+            lines.append(f"  {name}: {value}")
+    if report.violations:
+        lines.append(f"  VIOLATIONS ({len(report.violations)}):")
+        lines.extend(f"    {violation}" for violation in report.violations)
+    else:
+        lines.append("  no violations")
+    return "\n".join(lines)
+
+
 # The fields an optimized answer must reproduce exactly (the gate's
 # contract), and the extra fields a degraded answer must also match (the
 # degraded compile IS the baseline, counters included).
@@ -151,67 +230,89 @@ def _baseline(source: str, cache: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
     return cached
 
 
-# ----------------------------------------------------------------------
-# Storm driver.
-# ----------------------------------------------------------------------
+def _verify_response(
+    violations: List[str],
+    position: int,
+    request: Dict[str, Any],
+    response: Dict[str, Any],
+    baseline_cache: Dict[str, Dict[str, Any]],
+    leg: str = "",
+) -> Tuple[str, ...]:
+    """Check one response against ground truth.
 
+    Appends one violation per broken contract to ``violations`` and
+    returns the answer classes the response counts under, named as report
+    fields: ``shed``, ``errors``, ``optimized`` or ``degraded``, and
+    ``breaker_open_served`` for degraded service through an open breaker.
+    """
+    def violate(message: str) -> None:
+        violations.append(f"{leg}request {position}: {message}")
 
-@dataclass
-class StormResult:
-    """Everything a storm observed, plus its verdict."""
+    status = response.get("status")
+    if status == "shed":
+        # Overload backpressure is an explicit, well-formed answer — by
+        # contract never a violation and never lost — whatever answer
+        # class the request would otherwise have earned.
+        if response.get("reason") not in (
+            "queue-full", "degrade-level", "deadline-expired", "shutting-down"
+        ):
+            violate(f"shed response has unknown reason {response.get('reason')!r}")
+        if not isinstance(response.get("retry_after"), (int, float)):
+            violate("shed response lacks a retry_after hint")
+        return ("shed",)
+    if request["expect"] == "error":
+        if status == "error":
+            return ("errors",)
+        violate(f"expected a user error, got status {status!r}")
+        return ()
+    if status != "ok":
+        violate(f"expected ok, got {status!r}: {response.get('message', '')!r}")
+        return ()
 
-    requests: int
-    seed: int
-    fault_rate: float
-    responses: int = 0
-    optimized: int = 0
-    degraded: int = 0
-    errors: int = 0
-    injected_faults: Dict[str, int] = field(default_factory=dict)
-    breaker_open_served: int = 0
-    violations: List[str] = field(default_factory=list)
-    counters: Dict[str, int] = field(default_factory=dict)
-    breakers: List[Dict[str, Any]] = field(default_factory=list)
-    supervisor_alive: bool = True
-    #: Overload backpressure answers (explicit responses, never lost).
-    shed: int = 0
-    #: Virtual admission-to-response latency of every answered request.
-    latencies: List[float] = field(default_factory=list)
+    expected = _baseline(request["source"], baseline_cache)
+    mode = response.get("mode")
+    if mode in ("optimized", "cached"):
+        # Cached service carries the optimized contract: the stored IR's
+        # every certificate re-replayed before it was pushed to a worker.
+        classes: Tuple[str, ...] = ("optimized",)
+    elif mode == "degraded":
+        classes = ("degraded",)
+    else:
+        violate(f"response has unknown mode {mode!r}")
+        return ()
 
-    @property
-    def lost(self) -> int:
-        return self.requests - self.responses
+    fault = request.get("chaos")
+    if fault in FATAL_CHAOS_FAULTS and mode == "optimized":
+        violate(f"fatal fault {fault!r} was answered as optimized service")
 
-    @property
-    def passed(self) -> bool:
-        return self.supervisor_alive and self.lost == 0 and not self.violations
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "seed": self.seed,
-            "fault_rate": self.fault_rate,
-            "responses": self.responses,
-            "lost": self.lost,
-            "optimized": self.optimized,
-            "degraded": self.degraded,
-            "errors": self.errors,
-            "injected_faults": dict(sorted(self.injected_faults.items())),
-            "breaker_open_served": self.breaker_open_served,
-            "shed": self.shed,
-            "latency": latency_summary(self.latencies),
-            "violations": self.violations,
-            "supervisor_alive": self.supervisor_alive,
-            "counters": dict(sorted(self.counters.items())),
-            "passed": self.passed,
-        }
+    for field_name in _OUTCOME_FIELDS:
+        if response.get(field_name) != expected.get(field_name):
+            violate(
+                f"{mode} answer diverges from checked baseline on "
+                f"{field_name}: {response.get(field_name)!r} != "
+                f"{expected.get(field_name)!r}"
+            )
+            return classes
+    if mode == "degraded":
+        if response.get("degraded_reason") == "breaker-open":
+            classes += ("breaker_open_served",)
+        for field_name in _BASELINE_FIELDS:
+            if response.get(field_name) != expected.get(field_name):
+                violate(
+                    f"degraded answer lost checks: {field_name} "
+                    f"{response.get(field_name)!r} != "
+                    f"{expected.get(field_name)!r}"
+                )
+                return classes
+    return classes
 
 
 def storm_config(workers: int = 2, deadline: float = 3.0) -> ServeConfig:
     """A :class:`ServeConfig` tuned for storms: short deadlines and
     backoffs (faults resolve fast), frequent recycling (so the recycle
-    path is exercised within one storm), and a cooldown longer than any
-    storm (an opened breaker stays observably open)."""
+    path is exercised within one storm), a cooldown longer than any storm
+    (an opened breaker stays observably open), and chaos armed so the
+    workers run each request's named fault."""
     return ServeConfig(
         workers=workers,
         deadline=deadline,
@@ -222,7 +323,7 @@ def storm_config(workers: int = 2, deadline: float = 3.0) -> ServeConfig:
         recycle_after=25,
         breaker_threshold=3,
         breaker_cooldown=300.0,
-        chaos={"rate": 0.0, "seed": 0},  # enables explicit per-request faults
+        chaos=True,
     )
 
 
@@ -246,6 +347,99 @@ def _virtual_supervisor(config: ServeConfig) -> Tuple[Supervisor, VirtualClock]:
 
     supervisor.dispatch_tick = tick
     return supervisor, vclock
+
+
+def _frame(prefix: str, position: int, request: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``run`` frame of one planned request, with its named fault
+    and client deadline."""
+    frame = {"op": "run", "id": f"{prefix}-{position}", "source": request["source"]}
+    for key in ("chaos", "deadline_ms"):
+        if request.get(key):
+            frame[key] = request[key]
+    return frame
+
+
+@contextlib.contextmanager
+def _serving(
+    report: StormReport, supervisor: Supervisor, leg: str = ""
+) -> Iterator[Supervisor]:
+    """Start the supervisor, run the body, drain; a drain that throws
+    counts as supervisor death."""
+    supervisor.start()
+    try:
+        yield supervisor
+    finally:
+        try:
+            supervisor.shutdown()
+        except Exception as exc:  # pragma: no cover - drain must not throw
+            report.supervisor_alive = False
+            report.violations.append(f"{leg}shutdown: {type(exc).__name__}: {exc}")
+
+
+def _closed_loop(
+    report: StormReport,
+    supervisor: Supervisor,
+    requests: Iterable[Tuple[int, Dict[str, Any]]],
+    prefix: str,
+    leg: str = "",
+    before: Optional[Callable[[int], None]] = None,
+    clock: Optional[Callable[[], float]] = None,
+    progress=None,
+) -> Iterator[Tuple[int, Dict[str, Any], Dict[str, Any], float]]:
+    """Serve ``(position, request)`` pairs one at a time.
+
+    Yields ``(position, request, response, latency)``; ``latency`` is
+    measured on ``clock`` (0.0 without one).  ``before(position)`` runs
+    ahead of each request.  An exception escaping the supervisor is
+    recorded as supervisor death and ends the loop.
+    """
+    for position, request in requests:
+        if before is not None:
+            before(position)
+        started = clock() if clock is not None else 0.0
+        try:
+            response = supervisor.handle_request(_frame(prefix, position, request))
+        except Exception as exc:  # supervisor death — the cardinal sin
+            report.supervisor_alive = False
+            report.violations.append(
+                f"{leg}request {position}: supervisor died: "
+                f"{type(exc).__name__}: {exc}"
+            )
+            return
+        latency = round(clock() - started, 6) if clock is not None else 0.0
+        yield position, request, response, latency
+        if progress is not None:
+            progress(position, response)
+
+
+# ----------------------------------------------------------------------
+# The chaos storm: process faults, closed loop.
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class StormResult(StormReport):
+    """Verdict of one :func:`run_storm`."""
+
+    fault_rate: float = 0.0
+    optimized: int = 0
+    degraded: int = 0
+    errors: int = 0
+    injected_faults: Dict[str, int] = field(default_factory=dict)
+    breaker_open_served: int = 0
+    #: Overload backpressure answers (explicit responses, never lost).
+    shed: int = 0
+    #: Virtual admission-to-response latency of every answered request,
+    #: reported as its ``latency`` summary.
+    latencies: List[float] = field(default_factory=list)
+
+    title = "chaos storm"
+    derived = ("lost", "latency", "passed")
+    hidden = ("latencies",)
+
+    @property
+    def latency(self) -> Dict[str, Any]:
+        return latency_summary(self.latencies)
 
 
 def _plan_requests(
@@ -276,6 +470,11 @@ def _plan_requests(
     return plan[:requests]
 
 
+def _fault_counts(requests: Iterable[Dict[str, Any]]) -> Dict[str, int]:
+    """How many requests of a plan name each chaos fault."""
+    return dict(Counter(r["chaos"] for r in requests if r.get("chaos")))
+
+
 def run_storm(
     requests: int = 200,
     fault_rate: float = 0.1,
@@ -287,136 +486,37 @@ def run_storm(
     progress=None,
 ) -> StormResult:
     """Storm the service and verify every response against ground truth."""
-    result = StormResult(requests=requests, seed=seed, fault_rate=fault_rate)
     plan = _plan_requests(requests, fault_rate, seed, breaker_block)
+    result = StormResult(
+        requests=requests,
+        seed=seed,
+        fault_rate=fault_rate,
+        injected_faults=_fault_counts(plan),
+    )
     baseline_cache: Dict[str, Dict[str, Any]] = {}
     if config is None:
         config = storm_config(workers=workers, deadline=deadline)
 
     supervisor, vclock = _virtual_supervisor(config)
-    supervisor.start()
-    try:
-        for position, request in enumerate(plan):
-            frame = {
-                "op": "run",
-                "id": f"storm-{position}",
-                "source": request["source"],
-            }
-            fault = request.get("chaos")
-            if fault:
-                frame["chaos"] = fault
-                result.injected_faults[fault] = (
-                    result.injected_faults.get(fault, 0) + 1
-                )
-            started = vclock.now()
-            try:
-                response = supervisor.handle_request(frame)
-            except Exception as exc:  # supervisor death — the cardinal sin
-                result.supervisor_alive = False
-                result.violations.append(
-                    f"request {position}: supervisor died: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                break
+    with _serving(result, supervisor):
+        for position, request, response, latency in _closed_loop(
+            result, supervisor, enumerate(plan), "storm",
+            clock=vclock.now, progress=progress,
+        ):
             result.responses += 1
-            result.latencies.append(round(vclock.now() - started, 6))
-            _verify_response(result, position, request, response, baseline_cache)
-            if progress is not None:
-                progress(position, response)
-    finally:
-        try:
-            supervisor.shutdown()
-        except Exception as exc:  # pragma: no cover - drain must not throw
-            result.supervisor_alive = False
-            result.violations.append(
-                f"shutdown: {type(exc).__name__}: {exc}"
-            )
+            result.latencies.append(latency)
+            result.tally(_verify_response(
+                result.violations, position, request, response, baseline_cache
+            ))
 
     if breaker_block and requests >= 8:
         if not supervisor.stats.counters.get("serve.breaker-opened"):
-            result.violations.append(
-                "breaker block never opened a circuit breaker"
-            )
+            result.violations.append("breaker block never opened a circuit breaker")
         if result.breaker_open_served == 0:
-            result.violations.append(
-                "no request was served through an open breaker"
-            )
+            result.violations.append("no request was served through an open breaker")
 
     result.counters = dict(supervisor.stats.counters)
-    result.breakers = supervisor.breaker.to_json()
     return result
-
-
-def _verify_response(
-    result: StormResult,
-    position: int,
-    request: Dict[str, Any],
-    response: Dict[str, Any],
-    baseline_cache: Dict[str, Dict[str, Any]],
-) -> None:
-    def violate(message: str) -> None:
-        result.violations.append(f"request {position}: {message}")
-
-    status = response.get("status")
-    if status == "shed":
-        # Overload backpressure is an explicit, well-formed answer — by
-        # contract never a violation and never lost — whatever answer
-        # class the request would otherwise have earned.
-        result.shed += 1
-        if response.get("reason") not in (
-            "queue-full", "degrade-level", "deadline-expired", "shutting-down"
-        ):
-            violate(f"shed response has unknown reason {response.get('reason')!r}")
-        if not isinstance(response.get("retry_after"), (int, float)):
-            violate("shed response lacks a retry_after hint")
-        return
-    if request["expect"] == "error":
-        if status == "error":
-            result.errors += 1
-        else:
-            violate(f"expected a user error, got status {status!r}")
-        return
-    if status != "ok":
-        violate(
-            f"expected ok, got {status!r}: {response.get('message', '')!r}"
-        )
-        return
-
-    expected = _baseline(request["source"], baseline_cache)
-    mode = response.get("mode")
-    if mode in ("optimized", "cached"):
-        # Cached service carries the optimized contract: the stored IR's
-        # every certificate re-replayed before it was pushed to a worker.
-        result.optimized += 1
-    elif mode == "degraded":
-        result.degraded += 1
-    else:
-        violate(f"response has unknown mode {mode!r}")
-        return
-
-    fault = request.get("chaos")
-    if fault in FATAL_CHAOS_FAULTS and mode == "optimized":
-        violate(f"fatal fault {fault!r} was answered as optimized service")
-
-    for field_name in _OUTCOME_FIELDS:
-        if response.get(field_name) != expected.get(field_name):
-            violate(
-                f"{mode} answer diverges from checked baseline on "
-                f"{field_name}: {response.get(field_name)!r} != "
-                f"{expected.get(field_name)!r}"
-            )
-            return
-    if mode == "degraded":
-        if response.get("degraded_reason") == "breaker-open":
-            result.breaker_open_served += 1
-        for field_name in _BASELINE_FIELDS:
-            if response.get(field_name) != expected.get(field_name):
-                violate(
-                    f"degraded answer lost checks: {field_name} "
-                    f"{response.get(field_name)!r} != "
-                    f"{expected.get(field_name)!r}"
-                )
-                return
 
 
 # ----------------------------------------------------------------------
@@ -436,18 +536,15 @@ def _verify_response(
 
 
 @dataclass
-class BurstStormResult:
+class BurstStormResult(StormReport):
     """Verdict of one :func:`run_burst_storm`."""
 
-    requests: int
-    seed: int
-    fault_rate: float
-    burst_multiple: float
+    fault_rate: float = 0.0
+    burst_multiple: float = 0.0
     min_p99_improvement: float = 5.0
     #: Calibrated virtual service time per request (phase A).
     service_time: float = 0.0
     # Phase B (overload leg).
-    responses: int = 0
     optimized: int = 0
     degraded: int = 0
     errors: int = 0
@@ -467,13 +564,9 @@ class BurstStormResult:
     baseline_responses: int = 0
     baseline_latency: Dict[str, Any] = field(default_factory=dict)
     p99_improvement: float = 0.0
-    violations: List[str] = field(default_factory=list)
-    counters: Dict[str, int] = field(default_factory=dict)
-    supervisor_alive: bool = True
 
-    @property
-    def lost(self) -> int:
-        return self.requests - self.responses
+    title = "burst storm"
+    derived = ("lost", "baseline_lost", "passed")
 
     @property
     def baseline_lost(self) -> int:
@@ -482,50 +575,13 @@ class BurstStormResult:
     @property
     def passed(self) -> bool:
         return (
-            self.supervisor_alive
-            and self.lost == 0
+            super().passed
             and self.baseline_lost == 0
-            and not self.violations
             and self.shed > 0
             and self.max_level >= LEVEL_UNOPTIMIZED
             and self.final_level == LEVEL_FULL
             and self.p99_improvement >= self.min_p99_improvement
         )
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "seed": self.seed,
-            "fault_rate": self.fault_rate,
-            "burst_multiple": self.burst_multiple,
-            "min_p99_improvement": self.min_p99_improvement,
-            "service_time": round(self.service_time, 6),
-            "responses": self.responses,
-            "lost": self.lost,
-            "optimized": self.optimized,
-            "degraded": self.degraded,
-            "errors": self.errors,
-            "shed": self.shed,
-            "shed_queue_full": self.shed_queue_full,
-            "shed_deadline": self.shed_deadline,
-            "deadline_attached": self.deadline_attached,
-            "injected_faults": dict(sorted(self.injected_faults.items())),
-            "max_level": self.max_level,
-            "final_level": self.final_level,
-            "transitions": self.transitions,
-            "queue_depth_peak": self.queue_depth_peak,
-            "queue_capacity": self.queue_capacity,
-            "recovery_virtual_seconds": round(self.recovery_virtual_seconds, 6),
-            "overload_latency": self.overload_latency,
-            "baseline_responses": self.baseline_responses,
-            "baseline_lost": self.baseline_lost,
-            "baseline_latency": self.baseline_latency,
-            "p99_improvement": self.p99_improvement,
-            "violations": self.violations,
-            "supervisor_alive": self.supervisor_alive,
-            "counters": dict(sorted(self.counters.items())),
-            "passed": self.passed,
-        }
 
 
 def burst_storm_config(
@@ -542,11 +598,7 @@ def burst_storm_config(
     """
     config = storm_config(workers=workers, deadline=deadline)
     config.queue_capacity = queue_capacity
-    config.overload_watermarks = (
-        4 * SERVICE_TICK,
-        20 * SERVICE_TICK,
-        60 * SERVICE_TICK,
-    )
+    config.overload_watermarks = tuple(n * SERVICE_TICK for n in (4, 20, 60))
     config.overload_window = 2.0
     return config
 
@@ -570,33 +622,29 @@ def _plan_burst(
             # A slice of callers with real patience budgets (virtual ms):
             # deep queueing must shed these, not serve them post-mortem.
             request["deadline_ms"] = rng.randrange(200, 2001)
-        frame = {
-            "op": "run",
-            "id": f"burst-{position}",
-            "source": request["source"],
-        }
-        if request.get("chaos"):
-            frame["chaos"] = request["chaos"]
-        if request.get("deadline_ms"):
-            frame["deadline_ms"] = request["deadline_ms"]
-        plan.append({"due": round(due, 6), "frame": frame, "request": request})
+        plan.append({
+            "due": round(due, 6),
+            "frame": _frame("burst", position, request),
+            "request": request,
+        })
     return plan
 
 
 def _drive_open_loop(
+    report: StormReport,
     supervisor: Supervisor,
     vclock: VirtualClock,
     plan: List[Dict[str, Any]],
-    violations: List[str],
     leg: str,
-) -> Tuple[List[Tuple[Dict[str, Any], Dict[str, Any], float]], bool]:
-    """Pour the schedule open-loop; returns completions and liveness.
+) -> List[Tuple[Dict[str, Any], Dict[str, Any], float]]:
+    """Pour the schedule open-loop; returns the completions.
 
     Arrivals are submitted the moment simulated time reaches their due
     time — timestamped with the *due* time, so queueing that happened
     while the supervisor was busy serving counts against latency — and
     the queue is served one request per iteration.  Every schedule item
-    must come back exactly once; duplicates and leftovers are violations.
+    must come back exactly once; duplicates and leftovers are violations,
+    and an exception escaping the supervisor is supervisor death.
     """
     completed: List[Tuple[Dict[str, Any], Dict[str, Any], float]] = []
     arrivals: Dict[Any, Dict[str, Any]] = {}
@@ -604,7 +652,7 @@ def _drive_open_loop(
     def finish(request_id: Any, response: Dict[str, Any]) -> None:
         item = arrivals.pop(request_id, None)
         if item is None:
-            violations.append(
+            report.violations.append(
                 f"{leg}: duplicate or unknown response id {request_id!r}"
             )
             return
@@ -629,13 +677,14 @@ def _drive_open_loop(
             elif index < len(plan):
                 vclock.advance(plan[index]["due"] - now)
     except Exception as exc:  # supervisor death — the cardinal sin
-        violations.append(
+        report.supervisor_alive = False
+        report.violations.append(
             f"{leg}: supervisor died: {type(exc).__name__}: {exc}"
         )
-        return completed, False
+        return completed
     for request_id in sorted(arrivals, key=str):
-        violations.append(f"{leg}: request {request_id!r} got no response")
-    return completed, True
+        report.violations.append(f"{leg}: request {request_id!r} got no response")
+    return completed
 
 
 def run_burst_storm(
@@ -665,64 +714,47 @@ def run_burst_storm(
     baseline_cache: Dict[str, Dict[str, Any]] = {}
 
     # Phase A: calibrate the virtual service time on clean requests.
+    calibration = [
+        {"source": _template_sum_loop(4 + position % 5)}
+        for position in range(max(1, calibration_requests))
+    ]
     supervisor, vclock = _virtual_supervisor(
         burst_storm_config(workers, deadline, queue_capacity)
     )
-    supervisor.start()
-    try:
-        started = vclock.now()
-        for position in range(max(1, calibration_requests)):
-            supervisor.handle_request(
-                {
-                    "op": "run",
-                    "id": f"calibrate-{position}",
-                    "source": _template_sum_loop(4 + position % 5),
-                }
-            )
-        result.service_time = (vclock.now() - started) / max(
-            1, calibration_requests
-        )
-    finally:
-        supervisor.shutdown()
-    if result.service_time <= 0:
+    with _serving(result, supervisor, "calibration "):
+        for _ in _closed_loop(
+            result, supervisor, enumerate(calibration), "calibrate", "calibration "
+        ):
+            pass
+    service_time = vclock.now() / len(calibration)
+    result.service_time = round(service_time, 6)
+    if service_time <= 0:
         result.violations.append("calibration measured a zero service time")
+    if result.violations:
         return result
 
-    mean_interarrival = result.service_time / max(1.0, burst_multiple)
+    mean_interarrival = service_time / max(1.0, burst_multiple)
     plan = _plan_burst(requests, fault_rate, seed, mean_interarrival)
-    for item in plan:
-        fault = item["request"].get("chaos")
-        if fault:
-            result.injected_faults[fault] = (
-                result.injected_faults.get(fault, 0) + 1
-            )
-        if item["request"].get("deadline_ms"):
-            result.deadline_attached += 1
+    result.injected_faults = _fault_counts(item["request"] for item in plan)
+    result.deadline_attached = sum(
+        1 for item in plan if item["request"].get("deadline_ms")
+    )
 
     # Phase B: the overload leg.
     config = burst_storm_config(workers, deadline, queue_capacity)
     supervisor, vclock = _virtual_supervisor(config)
-    supervisor.start()
     latencies: List[float] = []
-    try:
-        completed, alive = _drive_open_loop(
-            supervisor, vclock, plan, result.violations, "overload"
-        )
-        result.supervisor_alive = alive
+    with _serving(result, supervisor):
+        completed = _drive_open_loop(result, supervisor, vclock, plan, "overload")
         for position, (item, response, latency) in enumerate(completed):
             result.responses += 1
             latencies.append(latency)
-            probe = StormResult(requests=0, seed=seed, fault_rate=fault_rate)
-            _verify_response(
-                probe, position, item["request"], response, baseline_cache
+            classes = _verify_response(
+                result.violations, position, item["request"], response,
+                baseline_cache, "overload ",
             )
-            for violation in probe.violations:
-                result.violations.append(f"overload {violation}")
-            result.optimized += probe.optimized
-            result.degraded += probe.degraded
-            result.errors += probe.errors
-            result.shed += probe.shed
-            if response.get("status") == "shed":
+            result.tally(classes)
+            if "shed" in classes:
                 if response.get("reason") == "queue-full":
                     result.shed_queue_full += 1
                 elif response.get("reason") == "deadline-expired":
@@ -740,7 +772,7 @@ def run_burst_storm(
             vclock.advance(config.overload_window / 2)
             polls += 1
         result.final_level = supervisor.overload.level(vclock.now())
-        result.recovery_virtual_seconds = vclock.now() - recovery_started
+        result.recovery_virtual_seconds = round(vclock.now() - recovery_started, 6)
         result.transitions = supervisor.overload.ladder.transitions
         result.queue_depth_peak = supervisor.stats.counters.get(
             "serve.overload.queue-depth_peak", 0
@@ -751,51 +783,31 @@ def run_burst_storm(
                 f"{queue_capacity} capacity bound"
             )
         result.counters = dict(supervisor.stats.counters)
-    finally:
-        try:
-            supervisor.shutdown()
-        except Exception as exc:  # pragma: no cover - drain must not throw
-            result.supervisor_alive = False
-            result.violations.append(f"shutdown: {type(exc).__name__}: {exc}")
     result.overload_latency = latency_summary(latencies)
     if not result.supervisor_alive:
         return result
 
     # Phase C: the unbounded-queue baseline — the same schedule with
     # overload control off (nothing shed, nothing expired, every request
-    # queued and served), which is exactly the pre-PR behavior.
+    # queued and served).
     config = burst_storm_config(workers, deadline, queue_capacity)
     config.overload_enabled = False
-    baseline, vclock = _virtual_supervisor(config)
-    baseline.start()
+    supervisor, vclock = _virtual_supervisor(config)
     baseline_latencies: List[float] = []
-    try:
-        completed, alive = _drive_open_loop(
-            baseline, vclock, plan, result.violations, "baseline"
-        )
-        result.supervisor_alive = result.supervisor_alive and alive
+    with _serving(result, supervisor, "baseline "):
+        completed = _drive_open_loop(result, supervisor, vclock, plan, "baseline")
         for position, (item, response, latency) in enumerate(completed):
             result.baseline_responses += 1
             baseline_latencies.append(latency)
-            probe = StormResult(requests=0, seed=seed, fault_rate=fault_rate)
-            _verify_response(
-                probe, position, item["request"], response, baseline_cache
+            classes = _verify_response(
+                result.violations, position, item["request"], response,
+                baseline_cache, "baseline ",
             )
-            for violation in probe.violations:
-                result.violations.append(f"baseline {violation}")
-            if probe.shed:
+            if "shed" in classes:
                 result.violations.append(
                     f"baseline request {position} was shed with overload "
                     "control disabled"
                 )
-    finally:
-        try:
-            baseline.shutdown()
-        except Exception as exc:  # pragma: no cover
-            result.supervisor_alive = False
-            result.violations.append(
-                f"baseline shutdown: {type(exc).__name__}: {exc}"
-            )
     result.baseline_latency = latency_summary(baseline_latencies)
 
     overload_p99 = result.overload_latency.get("p99", 0.0)
@@ -805,71 +817,29 @@ def run_burst_storm(
     return result
 
 
-def format_burst_storm(result: BurstStormResult) -> str:
-    overload_p99 = result.overload_latency.get("p99", 0.0)
-    baseline_p99 = result.baseline_latency.get("p99", 0.0)
-    lines = [
-        f"burst storm: {result.requests} request(s) at "
-        f"{result.burst_multiple:g}x capacity, seed {result.seed}, "
-        f"fault rate {result.fault_rate:.0%}",
-        f"  calibrated service time: {result.service_time:.3f}s (virtual)",
-        f"  responses: {result.responses}  lost: {result.lost}  "
-        f"baseline lost: {result.baseline_lost}",
-        f"  optimized: {result.optimized}  degraded: {result.degraded}  "
-        f"user-errors: {result.errors}",
-        f"  shed: {result.shed} "
-        f"(queue-full {result.shed_queue_full}, "
-        f"deadline-expired {result.shed_deadline}) of "
-        f"{result.deadline_attached} deadline-carrying request(s)",
-        f"  ladder: max level {result.max_level}, final level "
-        f"{result.final_level}, {result.transitions} transition(s), "
-        f"recovered in {result.recovery_virtual_seconds:.1f} virtual s",
-        f"  queue depth peak: {result.queue_depth_peak} "
-        f"(capacity {result.queue_capacity})",
-        f"  p99 admission-to-response: {overload_p99:.3f}s overloaded vs "
-        f"{baseline_p99:.3f}s unbounded baseline "
-        f"({result.p99_improvement:g}x, floor "
-        f"{result.min_p99_improvement:g}x)",
-        f"  supervisor alive: {result.supervisor_alive}",
-    ]
-    if result.violations:
-        lines.append(f"  VIOLATIONS ({len(result.violations)}):")
-        lines.extend(f"    {violation}" for violation in result.violations)
-    else:
-        lines.append(
-            "  no violations: every request answered exactly once — served "
-            "correctly or shed with backpressure"
-        )
-    lines.append(f"  verdict: {'PASS' if result.passed else 'FAIL'}")
-    return "\n".join(lines)
-
-
 # ----------------------------------------------------------------------
 # The corruption storm: the chaos storm's disk-durability sibling.
 #
 # Phase A (cold) storms a cache-enabled service while, between requests,
 # a seeded adversary corrupts committed entries at rest (every at-rest
-# fault in DISK_FAULTS, forged certificates included), SIGKILLs random
-# workers, and restarts the whole supervisor mid-storm with a planted
-# half-written temporary (a killed writer).  Every response is verified
-# against the checked baseline — a corrupted or forged entry must never
-# influence an answer; it must quarantine and fall back to a fresh
-# compile.  Phase B restarts the supervisor warm on the surviving store
-# and replays the schedule with no faults: hits must be plentiful and,
+# fault in DISK_FAULTS, forged certificates included) and SIGKILLs random
+# workers.  It runs in two halves around a supervisor restart over a
+# planted half-written temporary (a killed writer).  Every response is
+# verified against the checked baseline — a corrupted or forged entry
+# must never influence an answer; it must quarantine and fall back to a
+# fresh compile.  Phase B restarts the supervisor warm on the surviving
+# store and replays the pool with no faults: hits must be plentiful and,
 # sampled per source, byte-identical to a fresh certified compile.
 # ----------------------------------------------------------------------
 
 
 @dataclass
-class CorruptionStormResult:
+class CorruptionStormResult(StormReport):
     """Verdict of one :func:`run_corruption_storm`."""
 
-    requests: int
-    seed: int
-    disk_fault_rate: float
+    disk_fault_rate: float = 0.0
     min_warm_hit_rate: float = 0.5
     # Phase A (cold, faulted).
-    responses: int = 0
     stored: int = 0
     cold_hits: int = 0
     injected_disk_faults: Dict[str, int] = field(default_factory=dict)
@@ -886,15 +856,13 @@ class CorruptionStormResult:
     warm_hits: int = 0
     byte_identical_checked: int = 0
     invariant_violations: int = 0
-    violations: List[str] = field(default_factory=list)
-    counters: Dict[str, int] = field(default_factory=dict)
-    supervisor_alive: bool = True
+
+    title = "corruption storm"
+    derived = ("lost", "warm_hit_rate", "passed")
 
     @property
     def lost(self) -> int:
-        return (self.requests - self.responses) + (
-            self.warm_requests - self.warm_responses
-        )
+        return super().lost + (self.warm_requests - self.warm_responses)
 
     @property
     def warm_hit_rate(self) -> float:
@@ -903,41 +871,16 @@ class CorruptionStormResult:
     @property
     def passed(self) -> bool:
         return (
-            self.supervisor_alive
-            and self.lost == 0
-            and not self.violations
+            super().passed
             and self.verify_rejections == 0
             and self.invariant_violations == 0
             and self.warm_hit_rate >= self.min_warm_hit_rate
         )
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "seed": self.seed,
-            "disk_fault_rate": self.disk_fault_rate,
-            "responses": self.responses,
-            "lost": self.lost,
-            "stored": self.stored,
-            "cold_hits": self.cold_hits,
-            "injected_disk_faults": dict(sorted(self.injected_disk_faults.items())),
-            "worker_kills": self.worker_kills,
-            "supervisor_restarts": self.supervisor_restarts,
-            "recovered_tmp": self.recovered_tmp,
-            "verify_quarantined": self.verify_quarantined,
-            "verify_rejections": self.verify_rejections,
-            "warm_requests": self.warm_requests,
-            "warm_responses": self.warm_responses,
-            "warm_hits": self.warm_hits,
-            "warm_hit_rate": round(self.warm_hit_rate, 3),
-            "min_warm_hit_rate": self.min_warm_hit_rate,
-            "byte_identical_checked": self.byte_identical_checked,
-            "invariant_violations": self.invariant_violations,
-            "violations": self.violations,
-            "supervisor_alive": self.supervisor_alive,
-            "counters": dict(sorted(self.counters.items())),
-            "passed": self.passed,
-        }
+        payload = super().to_json()
+        payload["warm_hit_rate"] = round(self.warm_hit_rate, 3)
+        return payload
 
 
 def _corruption_pool(seed: int) -> List[Dict[str, Any]]:
@@ -1038,122 +981,91 @@ def run_corruption_storm(
         cache_dir = tempfile.mkdtemp(prefix="repro-corruption-storm-")
     rng = random.Random(seed)
     pool = _corruption_pool(seed)
-    plan = [rng.choice(pool) for _ in range(requests)]
+    plan = list(enumerate(rng.choice(pool) for _ in range(requests)))
     baseline_cache: Dict[str, Dict[str, Any]] = {}
 
-    def storm_serve_config() -> ServeConfig:
+    def fresh_supervisor() -> Supervisor:
+        # Disk faults only: process chaos has its own storm.
         config = storm_config(workers=workers, deadline=deadline)
         config.cache_dir = cache_dir
-        config.chaos = None  # disk faults only — process chaos has its own storm
-        return config
+        config.chaos = False
+        return Supervisor(config=config)
 
-    def check_response(position: int, request, response, phase: str) -> None:
-        probe = StormResult(requests=0, seed=seed, fault_rate=0.0)
-        _verify_response(probe, position, request, response, baseline_cache)
-        for violation in probe.violations:
-            result.violations.append(f"{phase} {violation}")
-        cache_tag = response.get("cache")
-        if isinstance(cache_tag, str):
-            if cache_tag == "hit":
-                if phase == "cold":
-                    result.cold_hits += 1
-                else:
-                    result.warm_hits += 1
-            elif cache_tag == "miss-stored":
-                result.stored += 1
+    def fold_counters(counters: Dict[str, int], prefix: str = "") -> None:
+        for name, value in counters.items():
+            key = prefix + name
+            result.counters[key] = result.counters.get(key, 0) + value
 
-    supervisor = Supervisor(config=storm_serve_config())
-    supervisor.start()
-    restart_at = requests // 2
-    try:
-        for position, request in enumerate(plan):
-            if position == restart_at and supervisor.store is not None:
-                # Mid-storm restart: drain, plant a half-written temp (a
-                # writer SIGKILLed mid-put), and come back up — recovery
-                # must clean the stray before the next request.
-                supervisor.shutdown()
-                for name, value in supervisor.stats.counters.items():
-                    result.counters[name] = result.counters.get(name, 0) + value
-                stray = supervisor.store.tmp_dir / "killed-writer.tmp"
-                stray.write_bytes(b'{"fingerprint":"dead')
-                supervisor = Supervisor(config=storm_serve_config())
-                supervisor.start()
-                result.supervisor_restarts += 1
-                if supervisor.store is not None:
-                    result.recovered_tmp += supervisor.store.counters.get(
-                        "store.recovered_tmp", 0
-                    )
-                    if result.recovered_tmp == 0:
-                        result.violations.append(
-                            "restart: recovery scan missed the planted temp"
-                        )
-            if supervisor.store is not None and rng.random() < disk_fault_rate:
-                _corrupt_random_entry(supervisor.store, rng, result)
-            if rng.random() < kill_rate:
-                if _kill_random_worker(supervisor, rng):
-                    result.worker_kills += 1
-            frame = {
-                "op": "run",
-                "id": f"corrupt-{position}",
-                "source": request["source"],
-            }
-            try:
-                response = supervisor.handle_request(frame)
-            except Exception as exc:  # supervisor death — the cardinal sin
-                result.supervisor_alive = False
-                result.violations.append(
-                    f"cold request {position}: supervisor died: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                break
+    def check(phase: str, position: int, request, response) -> None:
+        _verify_response(
+            result.violations, position, request, response, baseline_cache,
+            f"{phase} ",
+        )
+        if response.get("cache") == "hit" and phase == "cold":
+            result.cold_hits += 1
+        elif response.get("cache") == "hit":
+            result.warm_hits += 1
+        elif response.get("cache") == "miss-stored":
+            result.stored += 1
+
+    def serve_cold(cold: Supervisor, half) -> None:
+        def adversary(position: int) -> None:
+            if cold.store is not None and rng.random() < disk_fault_rate:
+                _corrupt_random_entry(cold.store, rng, result)
+            if rng.random() < kill_rate and _kill_random_worker(cold, rng):
+                result.worker_kills += 1
+
+        for position, request, response, _ in _closed_loop(
+            result, cold, half, "corrupt", "cold ",
+            before=adversary, progress=progress,
+        ):
             result.responses += 1
-            check_response(position, request, response, "cold")
-            if progress is not None:
-                progress(position, response)
+            check("cold", position, request, response)
 
-        # Post-storm verify: pass 1 quarantines entries the adversary
-        # corrupted after their last read; pass 2 must find a clean store.
-        if supervisor.store is not None:
-            first = supervisor.store.verify_all(ABCDConfig())
+    # Phase A, first half.
+    restart_at = requests // 2
+    with _serving(result, fresh_supervisor(), "cold ") as cold:
+        serve_cold(cold, plan[:restart_at])
+    fold_counters(cold.stats.counters)
+    if not result.supervisor_alive:
+        return result
+    if cold.store is not None:
+        # The restart: plant a half-written temp (a writer SIGKILLed
+        # mid-put) in the drained store; recovery on start must clean the
+        # stray before the next request.
+        (cold.store.tmp_dir / "killed-writer.tmp").write_bytes(b'{"fingerprint":"dead')
+
+    # Phase A, second half, then the post-storm verify: pass 1
+    # quarantines entries the adversary corrupted after their last read;
+    # pass 2 must find a clean store.
+    with _serving(result, fresh_supervisor(), "cold ") as cold:
+        result.supervisor_restarts += 1
+        if cold.store is not None:
+            result.recovered_tmp = cold.store.counters.get("store.recovered_tmp", 0)
+            if result.recovered_tmp == 0:
+                result.violations.append(
+                    "restart: recovery scan missed the planted temp"
+                )
+        serve_cold(cold, plan[restart_at:])
+        if cold.store is not None:
+            first = cold.store.verify_all(ABCDConfig())
             result.verify_quarantined = sum(1 for v in first if not v.ok)
-            second = supervisor.store.verify_all(ABCDConfig())
+            second = cold.store.verify_all(ABCDConfig())
             result.verify_rejections = sum(1 for v in second if not v.ok)
-            result.invariant_violations += supervisor.store.invariant_violations()
-        for name, value in supervisor.stats.counters.items():
-            result.counters[name] = result.counters.get(name, 0) + value
-    finally:
-        try:
-            supervisor.shutdown()
-        except Exception as exc:  # pragma: no cover - drain must not throw
-            result.supervisor_alive = False
-            result.violations.append(f"shutdown: {type(exc).__name__}: {exc}")
-
+            result.invariant_violations += cold.store.invariant_violations()
+    fold_counters(cold.stats.counters)
     if not result.supervisor_alive:
         return result
 
     # Phase B: warm restart, no faults — the store must carry its weight.
-    warm = Supervisor(config=storm_serve_config())
-    warm.start()
-    try:
-        warm_plan = [rng.choice(pool) for _ in range(max(1, requests // 2))]
-        result.warm_requests = len(warm_plan)
-        for position, request in enumerate(warm_plan):
-            frame = {
-                "op": "run",
-                "id": f"warm-{position}",
-                "source": request["source"],
-            }
-            try:
-                response = warm.handle_request(frame)
-            except Exception as exc:
-                result.supervisor_alive = False
-                result.violations.append(
-                    f"warm request {position}: supervisor died: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                break
+    warm_plan = [rng.choice(pool) for _ in range(max(1, requests // 2))]
+    result.warm_requests = len(warm_plan)
+    with _serving(result, fresh_supervisor(), "warm ") as warm:
+        for position, request, response, _ in _closed_loop(
+            result, warm, enumerate(warm_plan), "warm", "warm "
+        ):
             result.warm_responses += 1
-            check_response(position, request, response, "warm")
+            check("warm", position, request, response)
         # Sampled byte-identity: a warm hit's stored IR must equal a fresh
         # certified compile of the same source, byte for byte.
         if warm.store is not None:
@@ -1176,86 +1088,5 @@ def run_corruption_storm(
                     )
             result.byte_identical_checked = sampled
             result.invariant_violations += warm.store.invariant_violations()
-        result.counters.update(
-            {f"warm.{k}": v for k, v in warm.stats.counters.items()}
-        )
-    finally:
-        try:
-            warm.shutdown()
-        except Exception as exc:  # pragma: no cover
-            result.supervisor_alive = False
-            result.violations.append(f"warm shutdown: {type(exc).__name__}: {exc}")
+    fold_counters(warm.stats.counters, "warm.")
     return result
-
-
-def format_corruption_storm(result: CorruptionStormResult) -> str:
-    lines = [
-        f"corruption storm: {result.requests} cold + {result.warm_requests} warm "
-        f"request(s), seed {result.seed}, disk fault rate "
-        f"{result.disk_fault_rate:.0%}",
-        f"  responses: {result.responses + result.warm_responses}  "
-        f"lost: {result.lost}",
-        f"  stored: {result.stored}  cold hits: {result.cold_hits}  "
-        f"warm hits: {result.warm_hits} "
-        f"({result.warm_hit_rate:.0%}, floor {result.min_warm_hit_rate:.0%})",
-        "  injected disk faults: "
-        + (
-            ", ".join(
-                f"{name} x{count}"
-                for name, count in sorted(result.injected_disk_faults.items())
-            )
-            or "none"
-        ),
-        f"  worker kills: {result.worker_kills}  supervisor restarts: "
-        f"{result.supervisor_restarts}  recovered tmp: {result.recovered_tmp}",
-        f"  post-storm verify: {result.verify_quarantined} quarantined, then "
-        f"{result.verify_rejections} rejection(s) on the clean pass",
-        f"  byte-identical warm loads checked: {result.byte_identical_checked}",
-        f"  store invariant violations: {result.invariant_violations}",
-        f"  supervisor alive: {result.supervisor_alive}",
-    ]
-    if result.violations:
-        lines.append(f"  VIOLATIONS ({len(result.violations)}):")
-        lines.extend(f"    {violation}" for violation in result.violations)
-    else:
-        lines.append(
-            "  no violations: every answer matched the checked baseline and "
-            "no load skipped its re-check"
-        )
-    return "\n".join(lines)
-
-
-def format_storm(result: StormResult) -> str:
-    lines = [
-        f"chaos storm: {result.requests} request(s), seed {result.seed}, "
-        f"fault rate {result.fault_rate:.0%}",
-        f"  responses: {result.responses}  lost: {result.lost}",
-        f"  optimized: {result.optimized}  degraded: {result.degraded}  "
-        f"user-errors: {result.errors}",
-        f"  injected faults: "
-        + (
-            ", ".join(
-                f"{name} x{count}"
-                for name, count in sorted(result.injected_faults.items())
-            )
-            or "none"
-        ),
-        f"  served through open breaker: {result.breaker_open_served}",
-        "  latency (virtual): p50 {p50:.3f}s  p95 {p95:.3f}s  p99 {p99:.3f}s".format(
-            **{
-                key: latency_summary(result.latencies).get(key, 0.0)
-                for key in ("p50", "p95", "p99")
-            }
-        ),
-        f"  supervisor alive: {result.supervisor_alive}",
-    ]
-    for name in sorted(result.counters):
-        if name.startswith("serve."):
-            lines.append(f"    {name}: {result.counters[name]}")
-    if result.violations:
-        lines.append(f"  VIOLATIONS ({len(result.violations)}):")
-        lines.extend(f"    {violation}" for violation in result.violations)
-    else:
-        lines.append("  no violations: every request optimized-and-gated "
-                     "or degraded-but-correct")
-    return "\n".join(lines)

@@ -64,7 +64,12 @@ from repro.serve.worker import CHAOS_ENV
 
 @dataclass
 class ServeConfig:
-    """Supervisor policy knobs (all surfaced as ``repro serve`` flags)."""
+    """Supervisor policy knobs.
+
+    Most are ``repro serve`` flags.  The backoff base and cap, the
+    overload watermarks and window, ``chaos`` and ``propagate_deadlines``
+    are set only by the storm harness (:mod:`repro.serve.chaos`) and
+    tests."""
 
     workers: int = 2
     #: Wall-clock deadline per worker attempt (compile + execute).
@@ -85,11 +90,10 @@ class ServeConfig:
     breaker_cooldown: float = 30.0
     #: Interpreter fuel forwarded to workers.
     fuel: int = 50_000_000
-    #: Compile degraded in-process when even degraded dispatch fails.
-    inline_fallback: bool = True
-    #: Chaos configuration forwarded to workers via the environment
-    #: (``None`` in production: workers then ignore ``"chaos"`` fields).
-    chaos: Optional[Dict[str, Any]] = None
+    #: Arm chaos in the workers: each then runs the fault a request
+    #: names in its ``"chaos"`` field.  Storms only; off in production,
+    #: where workers ignore the field.
+    chaos: bool = False
     #: Root of the persistent certificate store (``None`` = no cache).
     #: The supervisor owns the store handle: it loads (and certificate-
     #: replays) entries, answers compile hits itself, pushes run hits to
@@ -98,14 +102,13 @@ class ServeConfig:
     #: supervisor restart does not forget them.
     cache_dir: Optional[str] = None
     #: Overload control (see :mod:`repro.serve.overload`): admission
-    #: queue bound, ladder watermarks/window/hysteresis, backpressure
-    #: hint.  ``overload_enabled=False`` restores the pre-overload
+    #: queue bound, ladder watermarks/window, backpressure hint.
+    #: ``overload_enabled=False`` restores the pre-overload
     #: unbounded-queue behavior (the burst storm's baseline leg).
     overload_enabled: bool = True
     queue_capacity: int = 64
     overload_watermarks: Tuple[float, float, float] = (0.5, 2.0, 8.0)
     overload_window: float = 5.0
-    overload_hysteresis: float = 0.5
     retry_after: float = 0.25
     #: Seed of the supervisor's jitter RNG (retry backoff + breaker
     #: cooldown jitter); injectable so storms are byte-reproducible.
@@ -146,10 +149,8 @@ class WorkerHandle:
         env["PYTHONPATH"] = (
             package_root if not existing else package_root + os.pathsep + existing
         )
-        if config.chaos is not None:
-            import json
-
-            env[CHAOS_ENV] = json.dumps(config.chaos)
+        if config.chaos:
+            env[CHAOS_ENV] = "1"
         else:
             env.pop(CHAOS_ENV, None)
         self.proc = subprocess.Popen(
@@ -271,7 +272,6 @@ class Supervisor:
                 queue_capacity=self.config.queue_capacity,
                 watermarks=self.config.overload_watermarks,
                 window=self.config.overload_window,
-                hysteresis_ratio=self.config.overload_hysteresis,
                 retry_after=self.config.retry_after,
             ),
             stats=self.stats,
@@ -631,16 +631,6 @@ class Supervisor:
                 )
                 return payload
             self.stats.bump("serve.worker-failures")
-
-        if not self.config.inline_fallback:
-            self.stats.bump("serve.failed")
-            return {
-                "id": frame["id"],
-                "status": "failure",
-                "reason": "pool-exhausted",
-                "message": "degraded dispatch failed and inline fallback is off",
-                "fingerprint": fingerprint,
-            }
 
         # The pool is being massacred: serve degraded in-process.  This
         # reuses the worker's own request handler, behind the worker

@@ -17,16 +17,18 @@ The worker's defenses are layered:
 Degraded mode (``"mode": "degraded"``) compiles with no optimization at
 all — plain lowering + e-SSA, every bounds check intact — which is
 byte-identical in behavior to the unoptimized reference interpreter.
-Chaos faults (:data:`repro.robustness.faults.CHAOS_FAULTS`) inject only
-on the *optimized* path: they model optimizer bugs, and the degraded
-path is exactly the code that must stay trustworthy when the optimizer
-is not.
+
+A worker armed for chaos (:data:`CHAOS_ENV`) runs the fault a request
+names in its ``"chaos"`` field, importing the fault tables
+(:data:`repro.robustness.faults.CHAOS_FAULTS`) only then.  Faults inject
+only on the *optimized* path: they model optimizer bugs, and the
+degraded path is exactly the code that must stay trustworthy when the
+optimizer is not.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Any, Dict, Optional
@@ -34,26 +36,12 @@ from typing import Any, Dict, Optional
 from repro.core.abcd import ABCDConfig
 from repro.errors import MiniJRuntimeError, ReproError
 from repro.limits import HardDeadlineExceeded, address_space_cap, hard_deadline
-from repro.robustness.faults import CHAOS_FAULTS, ChaosContext, decide_chaos_fault
 from repro.serve import protocol
 
-#: Environment variable carrying the chaos configuration (JSON object
-#: with ``rate``/``seed``/``faults``/``slow_seconds`` keys).  Unset or
-#: unparsable ⇒ chaos disabled; explicit per-request ``"chaos"`` fields
-#: are honored only while this is set, so production servers cannot be
-#: fault-injected by a client.
+#: Environment variable that arms chaos: set (non-empty) ⇒ the worker
+#: runs each request's named ``"chaos"`` fault; unset ⇒ the field is
+#: ignored, so production servers cannot be fault-injected by a client.
 CHAOS_ENV = "REPRO_SERVE_CHAOS"
-
-
-def _load_chaos_config() -> Optional[Dict[str, Any]]:
-    raw = os.environ.get(CHAOS_ENV)
-    if not raw:
-        return None
-    try:
-        config = json.loads(raw)
-    except ValueError:
-        return None
-    return config if isinstance(config, dict) else {}
 
 
 def _execute(program, fn: str, args, fuel: int) -> Dict[str, Any]:
@@ -102,31 +90,22 @@ def _execute(program, fn: str, args, fuel: int) -> Dict[str, Any]:
 
 
 def _maybe_inject_chaos(
-    chaos: Optional[Dict[str, Any]],
+    chaos: Optional[bool],
     frame: Dict[str, Any],
     mem_cap_applied: bool,
 ) -> None:
-    """Fire at most one chaos fault at the mid-compile injection point."""
-    if chaos is None:
-        return
+    """Fire the request's named chaos fault, when armed, at the
+    mid-compile injection point."""
     name = frame.get("chaos")
-    if not name:
-        name = decide_chaos_fault(
-            seed=int(chaos.get("seed", 0)),
-            request_id=frame.get("id"),
-            attempt=int(frame.get("attempt", 0)),
-            rate=float(chaos.get("rate", 0.0)),
-            names=chaos.get("faults"),
-        )
-    spec = CHAOS_FAULTS.get(name) if name else None
-    if spec is None:
+    if not (chaos and name):
         return
-    context = ChaosContext(
-        raw_write=_raw_write,
-        slow_seconds=float(chaos.get("slow_seconds", 0.05)),
-        mem_cap_applied=mem_cap_applied,
-    )
-    spec.inject(context)
+    from repro.robustness.faults import CHAOS_FAULTS, ChaosContext
+
+    spec = CHAOS_FAULTS.get(name)
+    if spec is not None:
+        spec.inject(
+            ChaosContext(raw_write=_raw_write, mem_cap_applied=mem_cap_applied)
+        )
 
 
 def _raw_write(data: bytes) -> None:
@@ -185,11 +164,14 @@ def _deadline_budget(frame: Dict[str, Any]) -> Optional[float]:
 
 def _serve_request(
     frame: Dict[str, Any],
-    chaos: Optional[Dict[str, Any]],
+    chaos: Optional[bool],
     mem_cap_applied: bool,
     served: int,
 ) -> Dict[str, Any]:
     """One ``run``/``compile`` request → one response payload.
+
+    A true ``chaos`` arms the frame's named fault; ``None`` or ``False``
+    disarms it.
 
     When the frame carries a ``deadline_budget`` the whole body runs
     under :func:`repro.limits.hard_deadline` for that many seconds — the
@@ -216,7 +198,7 @@ def _serve_request(
 
 def _serve_contained(
     frame: Dict[str, Any],
-    chaos: Optional[Dict[str, Any]],
+    chaos: Optional[bool],
     mem_cap_applied: bool,
     served: int,
 ) -> Dict[str, Any]:
@@ -236,7 +218,7 @@ def _serve_contained(
 
 def _serve_request_body(
     frame: Dict[str, Any],
-    chaos: Optional[Dict[str, Any]],
+    chaos: Optional[bool],
     mem_cap_applied: bool,
     served: int,
     budget: Optional[float] = None,
@@ -386,7 +368,7 @@ def main(argv=None) -> int:
     mem_cap_applied = False
     if args.mem_mb > 0:
         mem_cap_applied = address_space_cap(args.mem_mb * 1024 * 1024)
-    chaos = _load_chaos_config()
+    chaos = bool(os.environ.get(CHAOS_ENV))
 
     # SIGTERM = drain, not drop: finish the in-flight request, write and
     # flush its response (which may carry a captured store entry — the

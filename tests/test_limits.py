@@ -9,6 +9,7 @@ no-op anywhere SIGALRM cannot work.
 
 from __future__ import annotations
 
+import gc
 import signal
 import threading
 import time
@@ -56,6 +57,38 @@ def test_hard_deadline_error_escapes_blanket_exception_handlers():
                     pass
         except Exception:  # the containment layers' blanket clause
             pytest.fail("HardDeadlineExceeded was swallowed as Exception")
+
+
+@posix_only
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+def test_hard_deadline_fires_again_after_a_gc_callback_swallows_it():
+    """An alarm that lands inside a gc callback raises there, and CPython
+    reports that exception as unraisable and carries on.  The deadline
+    must fire again rather than leave the body unbounded."""
+    def slow_callback(phase, info):
+        until = time.monotonic() + 0.2
+        while time.monotonic() < until:
+            pass
+
+    gc.callbacks.append(slow_callback)
+    started = time.monotonic()
+    try:
+        with pytest.raises(HardDeadlineExceeded):
+            with hard_deadline(0.05):
+                gc.collect()
+                time.sleep(2)
+    finally:
+        gc.callbacks.remove(slow_callback)
+    assert time.monotonic() - started < 1.0
+    remaining, _ = signal.setitimer(signal.ITIMER_REAL, 0)
+    assert remaining == 0
+
+
+@posix_only
+def test_hard_deadline_message_prints_a_small_budget():
+    with pytest.raises(HardDeadlineExceeded, match=r"exceeded 0\.001s"):
+        with hard_deadline(0.001):
+            time.sleep(1)
 
 
 @posix_only

@@ -358,7 +358,7 @@ class TestChaosFaultContainment:
                 deadline=2.0,
                 retries=0,
                 breaker_threshold=100,  # isolate: no breaker interference
-                chaos={"rate": 0.0, "seed": 0},
+                chaos=True,
             )
         )
         yield sup
@@ -551,7 +551,7 @@ class TestBreakerIntegration:
                 retries=0,
                 breaker_threshold=2,
                 breaker_cooldown=60.0,
-                chaos={"rate": 0.0, "seed": 0},
+                chaos=True,
             ),
             clock=lambda: clock["now"],
         )
@@ -960,6 +960,36 @@ class TestWorkerDrain:
             assert proc.wait(timeout=10) == 0
         finally:
             proc.kill()
+
+
+class TestWorkerImports:
+    def test_worker_leaves_supervisor_and_harness_code_unimported(self):
+        """Every worker start compiles what it imports.  The fault tables
+        (loaded only when chaos is armed), the supervisor side and the
+        storm harness are not among them."""
+        import json
+        import subprocess
+        import sys as _sys
+
+        env = dict(os.environ)
+        package_root = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(package_root)
+        out = subprocess.run(
+            [_sys.executable, "-c",
+             "import json, sys, repro.serve.worker; "
+             "print(json.dumps(sorted(sys.modules)))"],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        loaded = set(json.loads(out.stdout))
+        assert "repro.serve.worker" in loaded
+        unwanted = {
+            "repro.robustness.faults",
+            "repro.serve.supervisor",
+            "repro.serve.breaker",
+            "repro.serve.overload",
+            "repro.serve.chaos",
+        }
+        assert not loaded & unwanted
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ the harness itself honest at a smaller scale — a seeded storm under a
 20% fault rate must pass its own verdict, the request plan must be
 deterministic, and the verifier must actually catch the violations it
 claims to (lost requests, wrong answers, fatal faults answered as
-optimized service).
+optimized service).  Each storm's JSON keys are pinned and its text
+report is rendered.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.serve.chaos import (
     StormResult,
     _plan_requests,
     _verify_response,
-    format_storm,
+    format_report,
     run_storm,
     storm_config,
 )
@@ -27,6 +28,52 @@ from repro.serve.chaos import (
 pytestmark = pytest.mark.skipif(
     os.name != "posix", reason="the compile service requires POSIX pipes/signals"
 )
+
+# The exact ``to_json()`` keys of each storm.  The CI storm jobs read
+# these keys, so the generic report JSON must not drift from them.
+STORM_KEYS = {
+    "requests", "seed", "fault_rate", "responses", "lost", "optimized",
+    "degraded", "errors", "injected_faults", "breaker_open_served", "shed",
+    "latency", "violations", "supervisor_alive", "counters", "passed",
+}
+BURST_KEYS = {
+    "requests", "seed", "fault_rate", "burst_multiple",
+    "min_p99_improvement", "service_time", "responses", "lost", "optimized",
+    "degraded", "errors", "shed", "shed_queue_full", "shed_deadline",
+    "deadline_attached", "injected_faults", "max_level", "final_level",
+    "transitions", "queue_depth_peak", "queue_capacity",
+    "recovery_virtual_seconds", "overload_latency", "baseline_responses",
+    "baseline_lost", "baseline_latency", "p99_improvement", "violations",
+    "supervisor_alive", "counters", "passed",
+}
+CORRUPTION_KEYS = {
+    "requests", "seed", "disk_fault_rate", "responses", "lost", "stored",
+    "cold_hits", "injected_disk_faults", "worker_kills",
+    "supervisor_restarts", "recovered_tmp", "verify_quarantined",
+    "verify_rejections", "warm_requests", "warm_responses", "warm_hits",
+    "warm_hit_rate", "min_warm_hit_rate", "byte_identical_checked",
+    "invariant_violations", "violations", "supervisor_alive", "counters",
+    "passed",
+}
+LATENCY_KEYS = {"count", "p50", "p95", "p99", "max"}
+
+
+def assert_text_report(result) -> None:
+    """``format_report`` renders the verdict, every JSON value and the
+    violations of a storm result."""
+    lines = format_report(result).splitlines()
+    assert lines[0] == f"{result.title}: {'PASS' if result.passed else 'FAIL'}"
+    for name, value in result.to_json().items():
+        if isinstance(value, dict):
+            assert f"  {name}:" + ("" if value else " none") in lines
+            for key, item in value.items():
+                assert f"    {key}: {item}" in lines
+        elif name not in ("violations", "passed"):
+            assert f"  {name}: {value}" in lines
+    if result.violations:
+        assert f"  VIOLATIONS ({len(result.violations)}):" in lines
+    else:
+        assert lines[-1] == "  no violations"
 
 
 def test_plan_is_deterministic():
@@ -60,7 +107,7 @@ def test_small_storm_passes():
     result = run_storm(
         requests=30, fault_rate=0.2, seed=0, workers=2, deadline=2.0
     )
-    assert result.passed, format_storm(result)
+    assert result.passed, format_report(result)
     assert result.lost == 0
     assert result.responses == 30
     assert result.supervisor_alive
@@ -70,6 +117,7 @@ def test_small_storm_passes():
     assert result.breaker_open_served >= 1
     assert result.counters.get("serve.breaker-opened", 0) >= 1
     assert result.optimized > 0 and result.degraded > 0
+    assert_text_report(result)
 
 
 def test_storm_json_payload_is_complete():
@@ -77,18 +125,21 @@ def test_storm_json_payload_is_complete():
         requests=12, fault_rate=0.0, seed=1, workers=1, deadline=3.0
     )
     payload = result.to_json()
+    assert set(payload) == STORM_KEYS
+    assert set(payload["latency"]) == LATENCY_KEYS
     assert payload["passed"] is True
     assert payload["lost"] == 0
     assert payload["requests"] == 12
     assert payload["responses"] == 12
     assert "serve.requests" in payload["counters"]
     assert isinstance(payload["violations"], list)
+    assert_text_report(result)
 
 
 def test_storm_config_keeps_breakers_observably_open():
     config = storm_config()
     assert config.breaker_cooldown > 60.0
-    assert config.chaos is not None  # explicit per-request faults enabled
+    assert config.chaos  # explicit per-request faults armed
 
 
 class TestVerifier:
@@ -103,7 +154,7 @@ class TestVerifier:
         response = {"status": "ok", "mode": "optimized", "value": 999,
                     "trap": None, "kind": None, "index": None,
                     "length": None, "check_id": None}
-        _verify_response(result, 0, request, response, {})
+        result.tally(_verify_response(result.violations, 0, request, response, {}))
         assert result.violations and "diverges" in result.violations[0]
 
     def test_flags_fatal_fault_answered_optimized(self):
@@ -116,14 +167,14 @@ class TestVerifier:
         response = {"status": "ok", "mode": "optimized", "value": 1,
                     "trap": None, "kind": None, "index": None,
                     "length": None, "check_id": None}
-        _verify_response(result, 0, request, response, {})
+        result.tally(_verify_response(result.violations, 0, request, response, {}))
         assert any("fatal fault" in violation for violation in result.violations)
 
     def test_flags_missing_user_error(self):
         result = self.fresh_result()
         request = {"source": "irrelevant", "expect": "error"}
         response = {"status": "ok", "mode": "optimized"}
-        _verify_response(result, 0, request, response, {})
+        result.tally(_verify_response(result.violations, 0, request, response, {}))
         assert result.violations
 
     def test_accepts_degraded_with_checks_intact(self):
@@ -137,7 +188,7 @@ class TestVerifier:
         response = dict(expected)
         response["mode"] = "degraded"
         response["degraded_reason"] = "breaker-open"
-        _verify_response(result, 0, request, response, cache)
+        result.tally(_verify_response(result.violations, 0, request, response, cache))
         assert not result.violations
         assert result.degraded == 1
         assert result.breaker_open_served == 1
@@ -153,7 +204,7 @@ class TestVerifier:
         response = dict(expected)
         response["mode"] = "degraded"
         response["checks"] = {"total": 0, "lower": 0, "upper": 0, "speculative": 0}
-        _verify_response(result, 0, request, response, cache)
+        result.tally(_verify_response(result.violations, 0, request, response, cache))
         assert any("lost checks" in violation for violation in result.violations)
 
     def test_lost_requests_fail_the_storm(self):
@@ -170,7 +221,7 @@ class TestVerifier:
 
 class TestCorruptionStorm:
     def test_small_corruption_storm_passes(self, tmp_path):
-        from repro.serve.chaos import format_corruption_storm, run_corruption_storm
+        from repro.serve.chaos import run_corruption_storm
 
         result = run_corruption_storm(
             requests=20,
@@ -181,7 +232,7 @@ class TestCorruptionStorm:
             cache_dir=str(tmp_path / "cache"),
             byte_identity_samples=2,
         )
-        assert result.passed, format_corruption_storm(result)
+        assert result.passed, format_report(result)
         assert result.lost == 0
         assert sum(result.injected_disk_faults.values()) > 0
         assert result.verify_rejections == 0
@@ -192,6 +243,7 @@ class TestCorruptionStorm:
         # Warm phase replays the same pool against the surviving store.
         assert result.warm_hit_rate >= result.min_warm_hit_rate
         assert result.byte_identical_checked == 2
+        assert_text_report(result)
 
     def test_corruption_storm_json_payload_is_complete(self, tmp_path):
         import json
@@ -208,17 +260,10 @@ class TestCorruptionStorm:
             byte_identity_samples=0,
         )
         payload = json.loads(json.dumps(result.to_json()))
-        for key in (
-            "passed",
-            "requests",
-            "responses",
-            "warm_hit_rate",
-            "verify_rejections",
-            "invariant_violations",
-            "counters",
-        ):
-            assert key in payload
+        assert set(payload) == CORRUPTION_KEYS
         assert payload["passed"] is True
+        assert payload["warm_hit_rate"] == round(result.warm_hit_rate, 3)
+        assert_text_report(result)
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +307,7 @@ class TestShedContract:
         request = {"source": "fn main(): int { return 1; }", "expect": "ok"}
         response = {"id": "r1", "status": "shed", "reason": "queue-full",
                     "retry_after": 0.5, "degrade_level": 3}
-        _verify_response(result, 0, request, response, {})
+        result.tally(_verify_response(result.violations, 0, request, response, {}))
         assert result.shed == 1
         assert not result.violations
 
@@ -273,7 +318,7 @@ class TestShedContract:
         request = {"source": "irrelevant", "expect": "error"}
         response = {"id": "r1", "status": "shed", "reason": "deadline-expired",
                     "retry_after": 0.25, "degrade_level": 1}
-        _verify_response(result, 0, request, response, {})
+        result.tally(_verify_response(result.violations, 0, request, response, {}))
         assert result.shed == 1
         assert not result.violations
 
@@ -281,7 +326,7 @@ class TestShedContract:
         result = self.make_result()
         request = {"source": "x", "expect": "ok"}
         response = {"id": "r1", "status": "shed", "reason": "because"}
-        _verify_response(result, 0, request, response, {})
+        result.tally(_verify_response(result.violations, 0, request, response, {}))
         assert any("unknown reason" in v for v in result.violations)
         assert any("retry_after" in v for v in result.violations)
 
@@ -293,13 +338,13 @@ class TestShedContract:
 
 class TestBurstStorm:
     def test_small_burst_storm_holds_the_overload_contract(self):
-        from repro.serve.chaos import format_burst_storm, run_burst_storm
+        from repro.serve.chaos import run_burst_storm
 
         result = run_burst_storm(
             requests=80, burst_multiple=4.0, fault_rate=0.05, seed=0,
             workers=2, deadline=2.0, min_p99_improvement=2.0,
         )
-        assert result.passed, format_burst_storm(result)
+        assert result.passed, format_report(result)
         assert result.lost == 0
         assert result.baseline_lost == 0
         assert result.responses == 80
@@ -313,6 +358,26 @@ class TestBurstStorm:
         assert result.deadline_attached > 0
         assert result.shed_deadline > 0
         assert result.counters.get("serve.overload.deadline-shed", 0) > 0
+        assert_text_report(result)
+
+    def test_burst_storm_json_payload_is_complete(self):
+        import json
+
+        from repro.serve.chaos import run_burst_storm
+
+        result = run_burst_storm(
+            requests=16, burst_multiple=4.0, fault_rate=0.0, seed=1,
+            workers=1, deadline=2.0, min_p99_improvement=1.0,
+            calibration_requests=2,
+        )
+        payload = json.loads(json.dumps(result.to_json()))
+        assert set(payload) == BURST_KEYS
+        assert set(payload["overload_latency"]) == LATENCY_KEYS
+        assert set(payload["baseline_latency"]) == LATENCY_KEYS
+        assert payload["lost"] == 0 and payload["baseline_lost"] == 0
+        assert payload["responses"] == payload["baseline_responses"] == 16
+        assert payload["service_time"] == round(result.service_time, 6) > 0
+        assert_text_report(result)
 
     def test_burst_storm_json_is_reproducible(self):
         from repro.serve.chaos import run_burst_storm
