@@ -6,8 +6,8 @@ scratch:
 
 * ``repro.frontend`` — MiniJ, a small Java-like source language;
 * ``repro.ir`` — a three-address CFG IR with explicit bounds checks;
-* ``repro.analysis`` / ``repro.ssa`` — dominance, liveness, pruned SSA,
-  and the paper's extended SSA (π-nodes);
+* ``repro.analysis`` / ``repro.ssa`` — dominance and loops, and the
+  paper's extended SSA (π-nodes) built in one walk over the CFG;
 * ``repro.opt`` — the standard pre-pass suite (copy propagation, constant
   folding, DCE, GVN);
 * ``repro.core`` — the ABCD algorithm itself: inequality graph, the

@@ -1,25 +1,15 @@
-"""CFG analyses: dominance, liveness, loops, and edge utilities."""
+"""CFG analyses: dominance, loops, and edge utilities."""
 
-from repro.analysis.cfg_utils import (
-    critical_edges,
-    edge_list,
-    split_critical_edges,
-    split_edge,
-)
-from repro.analysis.dominance import DominatorTree, dominance_frontiers
-from repro.analysis.liveness import LivenessInfo, compute_liveness
+from repro.analysis.cfg_utils import critical_edges, split_critical_edges, split_edge
+from repro.analysis.dominance import DominatorTree
 from repro.analysis.loops import NaturalLoop, find_natural_loops, loop_depths
 
 __all__ = [
     "DominatorTree",
-    "dominance_frontiers",
-    "LivenessInfo",
-    "compute_liveness",
     "NaturalLoop",
     "find_natural_loops",
     "loop_depths",
     "critical_edges",
     "split_critical_edges",
     "split_edge",
-    "edge_list",
 ]

@@ -8,7 +8,7 @@ be placed at the head of the target block (paper, Section 3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Jump
@@ -56,17 +56,3 @@ def split_critical_edges(fn: Function) -> int:
         split_edge(fn, from_label, to_label)
         count += 1
     return count
-
-
-def edge_list(fn: Function) -> List[Tuple[str, str]]:
-    """All CFG edges of the reachable region as (from, to) pairs."""
-    edges = []
-    for label in fn.reachable_blocks():
-        for succ in fn.blocks[label].successors():
-            edges.append((label, succ))
-    return edges
-
-
-def predecessor_map(fn: Function) -> Dict[str, List[str]]:
-    """Alias of :meth:`Function.predecessors` for symmetry with edge_list."""
-    return fn.predecessors()

@@ -1,20 +1,20 @@
-"""Dominator tree and dominance frontiers.
+"""Dominator tree.
 
 Implements the Cooper–Harvey–Kennedy iterative dominator algorithm ("A
-Simple, Fast Dominance Algorithm") and Cytron-style dominance frontiers.
-Both are prerequisites for SSA construction and for the SSA verifier.
+Simple, Fast Dominance Algorithm").  The SSA verifier, natural-loop
+detection, GVN and PRE use it; e-SSA construction does not.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.ir.function import Function
 
 
 class DominatorTree:
-    """Immediate dominators, dominance queries, and dominance frontiers
-    for the reachable part of a function's CFG."""
+    """Immediate dominators and dominance queries for the reachable part
+    of a function's CFG."""
 
     def __init__(
         self,
@@ -112,31 +112,3 @@ class DominatorTree:
             # Reverse for stable left-to-right ordering.
             stack.extend(reversed(self.children[node]))
         return order
-
-
-def dominance_frontiers(fn: Function, domtree: Optional[DominatorTree] = None) -> Dict[str, Set[str]]:
-    """Compute the dominance frontier of every reachable block.
-
-    ``DF(b)`` = blocks ``y`` such that ``b`` dominates a predecessor of
-    ``y`` but does not strictly dominate ``y`` — exactly the φ placement
-    points of SSA construction.
-    """
-    if domtree is None:
-        domtree = DominatorTree.compute(fn)
-    frontiers: Dict[str, Set[str]] = {label: set() for label in fn.reachable_blocks()}
-    preds = fn.predecessors()
-    reachable = set(fn.reachable_blocks())
-    for label in fn.reachable_blocks():
-        block_preds = [p for p in preds[label] if p in reachable]
-        if len(block_preds) < 2:
-            continue
-        idom = domtree.immediate_dominator(label)
-        for pred in block_preds:
-            runner = pred
-            while runner != idom:
-                frontiers[runner].add(label)
-                next_runner = domtree.immediate_dominator(runner)
-                if next_runner is None:
-                    break
-                runner = next_runner
-    return frontiers

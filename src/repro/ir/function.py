@@ -239,22 +239,10 @@ class Function:
 
     def reachable_blocks(self) -> List[str]:
         """Labels reachable from the entry, in reverse postorder."""
-        visited = set()
+        # Iterative depth-first search: long CFG chains need no recursion.
+        visited = {self.entry}
         order: List[str] = []
-
-        def visit(label: str) -> None:
-            if label in visited:
-                return
-            visited.add(label)
-            for succ in self.blocks[label].successors():
-                visit(succ)
-            order.append(label)
-
-        # Iterative version to avoid deep recursion on long CFG chains.
-        visited.clear()
-        order.clear()
         stack: List[tuple] = [(self.entry, iter(self.blocks[self.entry].successors()))]
-        visited.add(self.entry)
         while stack:
             label, succ_iter = stack[-1]
             advanced = False

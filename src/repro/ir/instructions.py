@@ -66,7 +66,7 @@ class Instr:
     """Base class of all IR instructions.
 
     Subclasses implement :meth:`uses` / :meth:`defs` so that generic passes
-    (SSA renaming, liveness, copy propagation, DCE) need no per-instruction
+    (SSA renaming, copy propagation, DCE) need no per-instruction
     knowledge beyond this protocol.
     """
 

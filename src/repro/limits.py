@@ -1,8 +1,8 @@
 """Process-global resource limits, managed without leaking.
 
-Both the SSA renaming walk (one frame per dominator-tree node) and
-generated-code execution (one Python frame per MiniJ call) can exceed
-CPython's default recursion limit on deep inputs.  Raising
+Both e-SSA construction (a variable lookup recurses once per join it
+passes) and generated-code execution (one Python frame per MiniJ call)
+can exceed CPython's default recursion limit on deep inputs.  Raising
 ``sys.setrecursionlimit`` is a *global* side effect, so it must always be
 paired with a restore — this context manager is the single place that
 pattern lives.

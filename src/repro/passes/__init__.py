@@ -4,7 +4,7 @@ See ``DESIGN.md`` §8 for the architecture.  Entry points:
 
 * :class:`CompilationSession` — one compilation's cache + guard + stats;
 * :class:`PassManager` / :class:`PassContext` — the uniform driver;
-* :class:`AnalysisManager` — cached dominance/liveness/loops/GVN;
+* :class:`AnalysisManager` — cached dominance/loops/GVN/def-use;
 * :data:`PASS_REGISTRY` and the ``default_*_passes`` builders.
 """
 

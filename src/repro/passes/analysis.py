@@ -1,13 +1,12 @@
-"""The analysis cache: compute dominance/liveness/loops/GVN once, share
-them across passes, and invalidate only what a pass declares dirty.
+"""The analysis cache: compute dominance/loops/GVN once, share them
+across passes, and invalidate only what a pass declares dirty.
 
 Before this layer every consumer recomputed its analyses from scratch
-(``ssa/construct.py``, ``opt/gvn.py``, ``core/pre.py``,
-``baselines/loop_versioning.py`` each called into ``repro.analysis``
-independently).  The :class:`AnalysisManager` centralizes that: passes
-declare what they *require* and what they *preserve*, the manager serves
-cached results and drops only the entries a transformation may have
-invalidated.
+(``opt/gvn.py``, ``core/pre.py``, ``baselines/loop_versioning.py`` each
+called into ``repro.analysis`` independently).  The
+:class:`AnalysisManager` centralizes that: passes declare what they
+*require* and what they *preserve*, the manager serves cached results and
+drops only the entries a transformation may have invalidated.
 
 In ``debug`` mode the manager additionally recomputes every surviving
 cached analysis after each pass and compares structural fingerprints —
@@ -23,8 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.analysis.dominance import DominatorTree, dominance_frontiers
-from repro.analysis.liveness import compute_liveness
+from repro.analysis.dominance import DominatorTree
 from repro.analysis.loops import find_natural_loops
 from repro.errors import AnalysisInvalidationError
 from repro.ir.function import Function
@@ -50,23 +48,6 @@ class AnalysisSpec:
 
 def _domtree_fingerprint(domtree: DominatorTree) -> Any:
     return tuple(sorted(domtree.idom.items(), key=lambda item: item[0]))
-
-
-def _frontiers_fingerprint(frontiers) -> Any:
-    return tuple(
-        (label, tuple(sorted(members))) for label, members in sorted(frontiers.items())
-    )
-
-
-def _liveness_fingerprint(info) -> Any:
-    return tuple(
-        (
-            label,
-            tuple(sorted(info.live_in.get(label, ()))),
-            tuple(sorted(info.live_out.get(label, ()))),
-        )
-        for label in sorted(info.live_in)
-    )
 
 
 def _loops_fingerprint(loops) -> Any:
@@ -122,17 +103,6 @@ ANALYSES: Dict[str, AnalysisSpec] = {
             "domtree",
             lambda fn, get: DominatorTree.compute(fn),
             _domtree_fingerprint,
-        ),
-        AnalysisSpec(
-            "frontiers",
-            lambda fn, get: dominance_frontiers(fn, get("domtree")),
-            _frontiers_fingerprint,
-            depends=("domtree",),
-        ),
-        AnalysisSpec(
-            "liveness",
-            lambda fn, get: compute_liveness(fn),
-            _liveness_fingerprint,
         ),
         AnalysisSpec(
             "loops",

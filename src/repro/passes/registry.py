@@ -9,11 +9,8 @@ anywhere.
 
 Invalidation declarations, in brief:
 
-* ``essa`` splits critical edges (a CFG change) but finishes by
-  recomputing dominance on the final CFG through the analysis manager, so
-  the CFG-shape analyses it leaves cached are exactly the ones it
-  preserves; SSA renaming invalidates name-sensitive analyses (liveness,
-  GVN).
+* ``essa`` splits critical edges (a CFG change) and renames every
+  value, and it computes no analysis on the way, so it preserves nothing.
 * ``standard-pipeline`` (copy propagation, constant folding, and DCE on
   one sparse worklist) can fold a constant branch and prune unreachable
   blocks, so it preserves only the def-use chains it maintains.
@@ -37,7 +34,7 @@ from repro.passes.manager import Pass, PassContext
 
 #: Analyses that only depend on the CFG's shape, not on instruction
 #: contents or variable names.
-_CFG_SHAPE = ("domtree", "frontiers", "loops")
+_CFG_SHAPE = ("domtree", "loops")
 
 
 class InlinePass(Pass):
@@ -55,10 +52,11 @@ class InlinePass(Pass):
 
 
 class EssaConstructionPass(Pass):
-    """π insertion + pruned SSA renaming (paper Section 3)."""
+    """Edge splitting, π placement and SSA renaming in one CFG walk
+    (paper Section 3)."""
 
     name = "essa"
-    preserves = _CFG_SHAPE
+    preserves = ()
     # Whole-program verification runs at the end of compilation; a second
     # per-function verify here would double the cost for nothing.
     verify = False
@@ -69,7 +67,7 @@ class EssaConstructionPass(Pass):
     def run(self, fn: Function, ctx: PassContext) -> None:
         from repro.ssa.essa import construct_essa
 
-        construct_essa(fn, analysis=ctx.analysis)
+        construct_essa(fn)
         return None
 
 

@@ -1,15 +1,9 @@
-"""SSA construction, e-SSA (π-node) extension, and SSA destruction."""
+"""e-SSA construction: π placement and SSA renaming in one CFG walk."""
 
-from repro.ssa.construct import SSAConstructor, base_name, construct_ssa
-from repro.ssa.destruct import destruct_ssa
-from repro.ssa.essa import construct_essa, insert_pi_nodes, pi_assignments
+from repro.ssa.essa import base_name, construct_essa, pi_assignments
 
 __all__ = [
-    "construct_ssa",
-    "SSAConstructor",
     "base_name",
     "construct_essa",
-    "insert_pi_nodes",
     "pi_assignments",
-    "destruct_ssa",
 ]

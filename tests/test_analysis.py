@@ -1,14 +1,13 @@
-"""Dominance, liveness, loop, and CFG-utility tests."""
+"""Dominance, loop, and CFG-utility tests."""
 
 import pytest
 
 from repro.analysis.cfg_utils import critical_edges, split_critical_edges, split_edge
-from repro.analysis.dominance import DominatorTree, dominance_frontiers
-from repro.analysis.liveness import compute_liveness
+from repro.analysis.dominance import DominatorTree
 from repro.analysis.loops import find_natural_loops, loop_depths
 from repro.frontend.types import VOID
 from repro.ir.function import Function
-from repro.ir.instructions import Branch, Const, Copy, Jump, Phi, Return, Var
+from repro.ir.instructions import Branch, Const, Jump, Phi, Return, Var
 
 
 def diamond() -> Function:
@@ -90,58 +89,6 @@ class TestDominators:
         domtree = DominatorTree.compute(loop_cfg())
         assert domtree.depth("entry0") == 0
         assert domtree.depth("header1") == 1
-
-
-class TestDominanceFrontiers:
-    def test_diamond_frontier_is_join(self):
-        fn = diamond()
-        frontiers = dominance_frontiers(fn)
-        assert frontiers["left1"] == {"join3"}
-        assert frontiers["right2"] == {"join3"}
-        assert frontiers["join3"] == set()
-
-    def test_loop_header_in_own_frontier(self):
-        fn = loop_cfg()
-        frontiers = dominance_frontiers(fn)
-        assert "header1" in frontiers["header1"]
-        assert "header1" in frontiers["body2"]
-
-
-class TestLiveness:
-    def test_param_live_through_use(self):
-        fn = diamond()
-        # join returns nothing; make left use c so it is live into left.
-        fn.blocks["left1"].body.append(Copy("x", Var("c")))
-        info = compute_liveness(fn)
-        assert info.is_live_in("left1", "c")
-        assert not info.is_live_in("join3", "c")
-
-    def test_def_kills_liveness(self):
-        fn = diamond()
-        fn.blocks["left1"].body.append(Copy("c", Const(0)))
-        info = compute_liveness(fn)
-        # c redefined at top of left; the inbound value is not live there...
-        assert not info.is_live_in("left1", "c")
-
-    def test_phi_operand_live_out_of_pred(self):
-        fn = diamond()
-        fn.blocks["left1"].body.append(Copy("v1", Const(1)))
-        fn.blocks["right2"].body.append(Copy("v2", Const(2)))
-        fn.blocks["join3"].phis.append(
-            Phi("v", {"left1": Var("v1"), "right2": Var("v2")})
-        )
-        info = compute_liveness(fn)
-        assert "v1" in info.live_out["left1"]
-        assert "v2" in info.live_out["right2"]
-        # But the operands are not live-in to the join itself.
-        assert "v1" not in info.live_in["join3"]
-
-    def test_loop_carried_liveness(self):
-        fn = loop_cfg()
-        fn.blocks["body2"].body.append(Copy("x", Var("i")))
-        fn.blocks["entry0"].body.append(Copy("i", Const(0)))
-        info = compute_liveness(fn)
-        assert info.is_live_in("header1", "i")
 
 
 class TestLoops:

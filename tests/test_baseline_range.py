@@ -69,7 +69,7 @@ fn f(): int {
         analysis.run()
         # The φ for i must keep a finite lower bound of 0.
         from repro.ir.instructions import Phi
-        from repro.ssa.construct import base_name
+        from repro.ssa.essa import base_name
 
         phi_dests = [
             i.dest

@@ -24,19 +24,15 @@ from repro.opt import (
     value_number,
 )
 from repro.runtime.interpreter import run_program
-from repro.ssa.construct import construct_ssa
-from repro.ssa.essa import construct_essa
+from repro.ssa.essa import base_name, construct_essa
 
 
-def ssa_fn(source: str, name: str = "f", essa: bool = False):
+def ssa_fn(source: str, name: str = "f"):
     ast = parse_source(source)
     info = check_program(ast)
     program = lower_program(ast, info)
     fn = program.function(name)
-    if essa:
-        construct_essa(fn)
-    else:
-        construct_ssa(fn)
+    construct_essa(fn)
     return program, fn
 
 
@@ -64,7 +60,7 @@ fn f(x: int): int {
 
     def test_pi_not_propagated_through(self):
         src = "fn f(a: int[], i: int): int { return a[i]; }"
-        program, fn = ssa_fn(src, essa=True)
+        program, fn = ssa_fn(src)
         propagate_copies(fn)
         # π destinations must survive as the load's index.
         from repro.ir.instructions import ArrayLoad
@@ -203,7 +199,7 @@ fn f(a: int[], i: int): int {
   return 0;
 }
 """
-        program, fn = ssa_fn(src, essa=True)
+        program, fn = ssa_fn(src)
         eliminate_dead_code(fn)
         assert any(isinstance(i, Pi) for i in fn.all_instructions())
 
@@ -221,18 +217,30 @@ fn f(n: int): int {
         assert any(isinstance(i, ArrayNew) for i in fn.all_instructions())
 
     def test_dead_phi_removed(self):
+        # ``y`` is a dead use that keeps x's φ at the join; the join also
+        # keeps a live φ for ``c``, from its πs, which DCE must leave alone.
         src = """
 fn f(c: int): int {
   let x: int = 0;
   if (c > 0) {
     x = 1;
   }
+  let y: int = x;
   return c;
 }
 """
         program, fn = ssa_fn(src)
+
+        def x_phis():
+            return [
+                i
+                for i in fn.all_instructions()
+                if isinstance(i, Phi) and base_name(i.dest) == "x"
+            ]
+
+        assert len(x_phis()) == 1
         eliminate_dead_code(fn)
-        assert not any(isinstance(i, Phi) for i in fn.all_instructions())
+        assert x_phis() == []
 
 
 class TestGVN:
@@ -286,7 +294,7 @@ fn f(x: int, y: int): int {
 
     def test_pi_congruent_to_source(self):
         src = "fn f(a: int[], i: int): int { return a[i]; }"
-        program, fn = ssa_fn(src, essa=True)
+        program, fn = ssa_fn(src)
         vn = value_number(fn)
         pi = next(i for i in fn.all_instructions() if isinstance(i, Pi))
         assert vn.congruent(pi.dest, pi.src)

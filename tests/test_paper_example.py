@@ -17,7 +17,7 @@ from repro.core.solver import demand_prove
 from repro.ir.instructions import CheckLower, CheckUpper, Phi, Pi
 from repro.pipeline import abcd, clone_program, compile_source, run
 from repro.runtime.profiler import collect_profile
-from repro.ssa.construct import base_name
+from repro.ssa.essa import base_name
 
 #: Figure 1's fragment (first inner loop), verbatim modulo syntax.
 FIGURE1_SRC = """

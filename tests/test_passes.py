@@ -8,7 +8,9 @@ import json
 import pytest
 
 from repro import CompilationSession, abcd, clone_program, compile_source, run
+from repro.bench.corpus import CORPUS
 from repro.cli import main
+from repro.core.abcd import ABCDConfig
 from repro.errors import AnalysisInvalidationError, PassGuardError
 from repro.ir.instructions import Jump
 from repro.ir.printer import format_program
@@ -125,17 +127,20 @@ class TestCompilationSession:
 class TestAnalysisCaching:
     def test_dominance_computed_at_most_twice_per_function(self):
         """Through the full default pipeline (e-SSA + standard opts + ABCD)
-        dominance is computed at most twice per function: once for SSA
-        construction, once after the fixpoint group invalidated it."""
+        dominance is computed at most once per function: e-SSA
+        construction needs none, so the ABCD passes compute the only one."""
         session = CompilationSession()
         program = session.compile(TWO_FN_SRC)
         session.optimize(program)
         for name in program.functions:
-            assert session.analysis.misses_for(name, "domtree") <= 2, name
+            assert session.analysis.misses_for(name, "domtree") <= 1, name
 
     def test_cache_hits_are_recorded(self):
-        session, _, _ = _session_through_pipeline()
-        assert session.analysis.total_hits > 0
+        # ``augment`` looks up gvn, which computes domtree, and then
+        # domtree itself: the second lookup is served from the cache.
+        session = CompilationSession(config=ABCDConfig(gvn_mode="augment"))
+        session.optimize(session.compile(SRC))
+        assert session.analysis.hits["domtree"] > 0
         assert session.analysis.total_misses > 0
         stats = session.analysis.stats()
         assert set(stats) == {"hits", "misses", "seconds"}
@@ -156,10 +161,10 @@ class TestAnalysisCaching:
         program = compile_source(SRC)
         fn = program.function("main")
         manager.get("domtree", fn)
-        manager.get("liveness", fn)
+        manager.get("gvn", fn)
         manager.retain_only(fn, ("domtree",))
         assert manager.cached("domtree", fn) is not None
-        assert manager.cached("liveness", fn) is None
+        assert manager.cached("gvn", fn) is None
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +240,21 @@ class TestDebugInvalidationCheck:
         assert report.eliminated_count() > 0
         assert session.stats.rollback_count == 0
 
+    @pytest.mark.parametrize("inline", [False, True])
+    def test_debug_session_runs_corpus_clean(self, inline):
+        """The ``preserves`` declarations and the def-use index that e-SSA
+        construction leaves hold over the whole corpus, certified, with
+        and without inlining."""
+        for program in CORPUS:
+            source = program.source()
+            debug = CompilationSession(config=ABCDConfig(certify=True), debug=True)
+            report = debug.optimize(debug.compile(source, inline=inline))
+            assert debug.stats.rollback_count == 0, program.name
+            plain = CompilationSession(config=ABCDConfig(certify=True))
+            expected = plain.optimize(plain.compile(source, inline=inline))
+            assert report.eliminated_ids == expected.eliminated_ids, program.name
+            assert report.certificates_rejected == 0, program.name
+
 
 # ----------------------------------------------------------------------
 # The registry and default pipelines.
@@ -280,9 +300,9 @@ class TestRegistry:
             member.preserves = preserves
             return member
 
-        cfg_shape = ("domtree", "frontiers", "loops")
+        cfg_shape = ("domtree", "loops")
         group = FixpointGroup("g", [stub(cfg_shape), stub(cfg_shape + ("uses",))])
-        assert group.preserves == ("domtree", "frontiers", "loops")
+        assert group.preserves == ("domtree", "loops")
         with_folding = FixpointGroup("g2", [stub(cfg_shape), stub(())])
         assert with_folding.preserves == ()
 

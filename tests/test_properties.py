@@ -8,7 +8,7 @@
 3. **Optimization soundness**: randomly generated MiniJ programs behave
    identically (value or exception, including the failing check's
    identity) before and after ABCD — with and without PRE — and after the
-   range-analysis baseline and SSA destruction.
+   range-analysis baseline.
 4. **VM arithmetic**: Java-style division/modulo identities.
 """
 
@@ -260,23 +260,6 @@ def test_range_baseline_preserves_behaviour(source):
     program = compile_source(source, standard_opts=False)
     baseline = clone_program(program)
     eliminate_program_with_ranges(program)
-    assert observe(program) == observe(baseline)
-
-
-@settings(
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(minij_programs())
-def test_ssa_destruction_preserves_behaviour(source):
-    from repro.ssa.destruct import destruct_ssa
-
-    program = compile_source(source)
-    baseline = clone_program(program)
-    abcd(program)
-    for fn in program.functions.values():
-        destruct_ssa(fn)
     assert observe(program) == observe(baseline)
 
 

@@ -1,16 +1,14 @@
-"""SSA construction, e-SSA (π-insertion), and destruction tests."""
+"""e-SSA construction tests: φ placement, renaming and π placement."""
 
 import pytest
 
 from repro.frontend.parser import parse_source
 from repro.frontend.semantic import check_program
-from repro.ir.instructions import Phi, Pi, Var
+from repro.ir.instructions import Phi, Pi, Return, Var
 from repro.ir.lowering import lower_program
 from repro.ir.verifier import verify_function, verify_program
 from repro.runtime.interpreter import run_program
-from repro.ssa.construct import base_name, construct_ssa
-from repro.ssa.destruct import destruct_ssa
-from repro.ssa.essa import construct_essa, insert_pi_nodes, pi_assignments
+from repro.ssa.essa import base_name, construct_essa, pi_assignments
 
 
 def lower(source: str):
@@ -63,7 +61,7 @@ class TestSSAConstruction:
     def test_loop_variable_gets_phi(self):
         program = lower(LOOP_SRC)
         fn = program.function("main")
-        construct_ssa(fn)
+        construct_essa(fn)
         verify_function(fn)
         phis = [i for i in fn.all_instructions() if isinstance(i, Phi)]
         merged = {base_name(p.dest) for p in phis}
@@ -71,21 +69,21 @@ class TestSSAConstruction:
 
     def test_diamond_merge_gets_phi(self):
         fn = lower(DIAMOND_SRC).function("main")
-        construct_ssa(fn)
+        construct_essa(fn)
         verify_function(fn)
         phis = [i for i in fn.all_instructions() if isinstance(i, Phi)]
         assert any(base_name(p.dest) == "x" for p in phis)
 
     def test_single_assignment_property(self):
         fn = lower(LOOP_SRC).function("main")
-        construct_ssa(fn)
+        construct_essa(fn)
         defs = [i.defs() for i in fn.all_instructions() if i.defs()]
         assert len(defs) == len(set(defs))
 
     def test_params_renamed(self):
         program = lower("fn f(a: int): int { return a + 1; }")
         fn = program.function("f")
-        construct_ssa(fn)
+        construct_essa(fn)
         assert fn.params == ["a.0"]
 
     def test_pruned_no_dead_phis(self):
@@ -101,7 +99,7 @@ fn main(): int {
 }
 """
         fn = lower(src).function("main")
-        construct_ssa(fn)
+        construct_essa(fn)
         phis = [i for i in fn.all_instructions() if isinstance(i, Phi)]
         assert all(base_name(p.dest) != "x" for p in phis)
 
@@ -109,19 +107,40 @@ fn main(): int {
         program = lower(LOOP_SRC)
         expected = run_program(program, "main").value
         for fn in program.functions.values():
-            construct_ssa(fn)
+            construct_essa(fn)
         assert run_program(program, "main").value == expected
         assert expected == 45
 
+    def test_loop_exit_reads_header_definition(self):
+        # ``!`` swaps the branch targets, so the exit is renamed after the
+        # loop body, once the header is sealed: it must still read the
+        # header's last definition of ``i`` (the C5 π), not its φ.
+        src = """
+fn f(a: int[], i: int): int {
+  while (!(a[i] > 0)) {
+    i = i + 1;
+  }
+  return i;
+}
+"""
+        fn = lower(src).function("f")
+        construct_essa(fn)
+        verify_function(fn)
+        ret = next(
+            b.terminator for b in fn.blocks.values() if isinstance(b.terminator, Return)
+        )
+        pi = pi_assignments(fn)[ret.value.name]
+        assert pi.predicate.arraylen_of is not None
+
     def test_double_construction_rejected(self):
         fn = lower(LOOP_SRC).function("main")
-        construct_ssa(fn)
+        construct_essa(fn)
         with pytest.raises(ValueError):
-            construct_ssa(fn)
+            construct_essa(fn)
 
     def test_phi_incomings_cover_predecessors(self):
         fn = lower(LOOP_SRC).function("main")
-        construct_ssa(fn)
+        construct_essa(fn)
         preds = fn.predecessors()
         for label, block in fn.blocks.items():
             for phi in block.phis:
@@ -132,7 +151,7 @@ class TestPiInsertion:
     def test_pi_after_checks(self):
         src = "fn f(a: int[], i: int): int { return a[i]; }"
         fn = lower(src).function("f")
-        insert_pi_nodes(fn)
+        construct_essa(fn)
         pis = [i for i in fn.all_instructions() if isinstance(i, Pi)]
         rels = {p.predicate.rel for p in pis}
         assert "ge" in rels  # from checklower
@@ -150,7 +169,7 @@ fn f(x: int, y: int): int {
 }
 """
         fn = lower(src).function("f")
-        insert_pi_nodes(fn)
+        construct_essa(fn)
         pis = [i for i in fn.all_instructions() if isinstance(i, Pi)]
         rels = sorted(p.predicate.rel for p in pis)
         # true edge: x lt y, y gt x; false edge: x ge y, y le x.
@@ -166,11 +185,11 @@ fn f(x: int): int {
 }
 """
         fn = lower(src).function("f")
-        insert_pi_nodes(fn)
+        construct_essa(fn)
         pis = [i for i in fn.all_instructions() if isinstance(i, Pi)]
         # Only x gets πs (on both edges), the constant does not.
         assert len(pis) == 2
-        assert all(p.src == "x" for p in pis)
+        assert all(base_name(p.src) == "x" for p in pis)
 
     def test_ne_comparison_gets_pi_only_on_false_edge(self):
         src = """
@@ -182,16 +201,10 @@ fn f(x: int, y: int): int {
 }
 """
         fn = lower(src).function("f")
-        insert_pi_nodes(fn)
+        construct_essa(fn)
         pis = [i for i in fn.all_instructions() if isinstance(i, Pi)]
         # != carries no constraint on the true edge; == on the false edge.
         assert {p.predicate.rel for p in pis} == {"eq"}
-
-    def test_requires_pre_ssa(self):
-        fn = lower(LOOP_SRC).function("main")
-        construct_ssa(fn)
-        with pytest.raises(ValueError):
-            insert_pi_nodes(fn)
 
 
 class TestESSA:
@@ -249,53 +262,3 @@ fn f(x: int, y: int): int {
                 # Predicate operands must be defined names.
                 defined = {i.defs() for i in fn.all_instructions()} | set(fn.params)
                 assert pi.predicate.other.name in defined
-
-
-class TestDestruction:
-    def test_destruct_removes_phis_and_pis(self, bubble_source):
-        program = lower(bubble_source)
-        for fn in program.functions.values():
-            construct_essa(fn)
-            destruct_ssa(fn)
-            assert fn.ssa_form == "none"
-            for instr in fn.all_instructions():
-                assert not isinstance(instr, (Phi, Pi))
-
-    def test_destruct_preserves_behaviour(self, bubble_source):
-        program = lower(bubble_source)
-        expected = run_program(program, "main").value
-        for fn in program.functions.values():
-            construct_essa(fn)
-        mid = run_program(program, "main").value
-        for fn in program.functions.values():
-            destruct_ssa(fn)
-        final = run_program(program, "main").value
-        assert expected == mid == final
-
-    def test_swap_problem_handled(self):
-        # Two φs in one block reading each other's destinations: the
-        # parallel-copy sequencing must introduce a temporary.
-        src = """
-fn main(): int {
-  let a: int = 1;
-  let b: int = 2;
-  let i: int = 0;
-  while (i < 5) {
-    let t: int = a;
-    a = b;
-    b = t;
-    i = i + 1;
-  }
-  return a * 10 + b;
-}
-"""
-        program = lower(src)
-        expected = run_program(program, "main").value
-        for fn in program.functions.values():
-            construct_ssa(fn)
-        from repro.opt import run_standard_pipeline
-
-        for fn in program.functions.values():
-            run_standard_pipeline(fn)  # turns the swap into direct φ cycles
-            destruct_ssa(fn)
-        assert run_program(program, "main").value == expected
