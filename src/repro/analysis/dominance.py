@@ -36,12 +36,17 @@ class DominatorTree:
     @classmethod
     def compute(cls, fn: Function) -> "DominatorTree":
         """Build the dominator tree of ``fn`` (reachable blocks only)."""
-        rpo = fn.reachable_blocks()
+        return cls.from_cfg(fn.entry, fn.reachable_blocks(), fn.predecessors())
+
+    @classmethod
+    def from_cfg(
+        cls, entry: str, rpo: List[str], preds: Dict[str, List[str]]
+    ) -> "DominatorTree":
+        """Build the tree from a reachable-block RPO and predecessor map."""
         rpo_index = {label: index for index, label in enumerate(rpo)}
-        preds = fn.predecessors()
 
         idom: Dict[str, Optional[str]] = {label: None for label in rpo}
-        idom[fn.entry] = fn.entry
+        idom[entry] = entry
 
         def intersect(b1: str, b2: str) -> str:
             while b1 != b2:
@@ -57,7 +62,7 @@ class DominatorTree:
         while changed:
             changed = False
             for label in rpo:
-                if label == fn.entry:
+                if label == entry:
                     continue
                 processed_preds = [
                     p for p in preds[label] if p in rpo_index and idom[p] is not None
@@ -73,8 +78,8 @@ class DominatorTree:
 
         # Entry's idom is conventionally None for external consumers.
         result = dict(idom)
-        result[fn.entry] = None
-        return cls(fn.entry, result, rpo_index)
+        result[entry] = None
+        return cls(entry, result, rpo_index)
 
     def _compute_depths(self) -> None:
         self._depth[self.entry] = 0

@@ -70,7 +70,7 @@ def certify_state(fn, state, config, report=None) -> List[CertVerdict]:
     given.
     """
     verdicts: List[CertVerdict] = []
-    bundle = _fresh_bundle(fn, config)
+    bundle = fresh_bundle(fn, config)
     records: Dict[int, object] = {a.check_id: a for a in state.analyses}
     gvn_cache: List[Optional[object]] = [None]
     # One replay per (kind, certificate source) for the whole function,
@@ -177,10 +177,10 @@ def _validate_congruent_source(fn, bundle, site, cert_source: Node, gvn_cache) -
         raise CertificateRejected(f"{other} is not an array variable")
 
 
-def _fresh_bundle(fn, config):
+def fresh_bundle(fn, config):
     """Rebuild the inequality graphs from the function as it stands,
     mirroring the analysis-time construction flags but sharing none of its
-    objects."""
+    objects (the store rebuilds a loaded function's graphs with it too)."""
     from repro.core.constraints import build_graphs
 
     gvn = None
@@ -231,13 +231,6 @@ class _ReplayRecord:
     witness: object
 
 
-def fresh_bundle(fn, config):
-    """Public wrapper over the checker-side graph rebuild: inequality
-    graphs constructed from ``fn`` as it stands, sharing nothing with
-    whatever produced the elimination being replayed."""
-    return _fresh_bundle(fn, config)
-
-
 def replay_elimination(
     fn,
     bundle,
@@ -248,6 +241,7 @@ def replay_elimination(
     cert_source: Optional[Node] = None,
     assume: Optional[AssumeContext] = None,
     gvn_cache: Optional[list] = None,
+    replays: Optional[Dict[tuple, _Replay]] = None,
 ) -> Optional[str]:
     """Replay one *stored* elimination through the independent checker.
 
@@ -257,13 +251,16 @@ def replay_elimination(
     the decoded witness, and gets back ``None`` (accepted) or the
     rejection reason.  ``gvn_cache`` is a one-slot list shared across
     calls on the same function so Section-7.1 congruence replays number
-    values once.
+    values once.  ``replays`` is the function's shared replay map, as in
+    ``certify_state``: pass one per function for non-PRE certificates
+    and none for a PRE certificate, which replays fresh under its own
+    ``assume`` context.
     """
     site = _ReplaySite(kind=kind, array=array, target=target)
     record = _ReplayRecord(cert_source=cert_source, witness=witness)
     if gvn_cache is None:
         gvn_cache = [None]
-    return _check_one(fn, bundle, site, record, gvn_cache, assume=assume)
+    return _check_one(fn, bundle, site, record, gvn_cache, assume, replays)
 
 
 # ----------------------------------------------------------------------

@@ -194,110 +194,157 @@ def witness_to_json(witness: Optional[Witness]) -> Optional[Dict[str, object]]:
 
 
 # ----------------------------------------------------------------------
-# Deserialization (zero-trust: the input is durable bytes that may have
-# been tampered with; every shape violation raises WitnessDecodeError
-# rather than producing a half-formed witness).
+# The stored form: one table per store entry.  Rows are interned by
+# content and every child row precedes its parent, so a table is
+# acyclic by construction and decodes in one forward pass.  Sharing
+# equal subtrees is sound for the checker: its cache is keyed by
+# identity and tests each obligation's vertex before the lookup.
 # ----------------------------------------------------------------------
 
 
-class WitnessDecodeError(ValueError):
-    """The JSON does not encode a well-formed witness."""
+class WitnessTable:
+    """Encodes any number of witnesses into one shared table.
 
-
-def _node_from_json(data: object) -> Node:
-    if not isinstance(data, dict):
-        raise WitnessDecodeError("node is not an object")
-    kind = data.get("kind")
-    if kind == "const":
-        value = data.get("value")
-        if type(value) is not int:
-            raise WitnessDecodeError("const node without integer value")
-        return const_node(value)
-    name = data.get("name")
-    if not isinstance(kind, str) or not isinstance(name, str):
-        raise WitnessDecodeError("node without string kind/name")
-    return Node(kind, name=name)
-
-
-def witness_from_json(data: Optional[Dict[str, object]]) -> Optional[Witness]:
-    """Rebuild a witness from its :func:`witness_to_json` form.
-
-    Iterative like the encoder (deep π/copy chains must not hit the
-    recursion limit), but post-order: the frozen dataclasses compute
-    their ``open`` sets from their children in ``__post_init__``, so a
-    parent can only be constructed after its sub-witnesses exist.  The
-    stack interleaves ``visit`` frames (decode one JSON node, schedule
-    children) with ``build`` frames (construct the parent once every
-    child slot below it is filled).
+    ``vertices`` holds each distinct vertex once, as ``(kind, name)`` or
+    ``("const", value)``.  ``rows`` holds each structurally distinct
+    witness node once: ``("axiom", v, rule)``, ``("cycle", v)``,
+    ``("assume", v, phi_block, pred, offset)``, ``("edge", v, src,
+    weight, sub)`` or ``("phi", v, ((src, weight, sub), ...))``, where
+    ``v`` and ``src`` index ``vertices`` and ``sub`` an earlier row.
     """
-    if data is None:
-        return None
-    holder: List[Optional[Witness]] = [None]
-    stack: List[tuple] = [("visit", data, holder, 0)]
-    while stack:
-        op, obj, container, index = stack.pop()
-        if op == "build":
-            # obj is (constructor-closure, child holders).
-            container[index] = obj[0]([h[0] for h in obj[1]])
-            continue
-        if not isinstance(obj, dict):
-            raise WitnessDecodeError("witness is not an object")
-        node = obj.get("node")
-        vertex = _node_from_json(obj.get("vertex"))
-        if node == "axiom":
-            rule = obj.get("rule")
-            if not isinstance(rule, str):
-                raise WitnessDecodeError("axiom without string rule")
-            container[index] = AxiomWitness(vertex, rule)
-        elif node == "cycle":
-            container[index] = CycleWitness(vertex)
-        elif node == "assume":
-            phi_block = obj.get("phi_block")
-            pred = obj.get("pred")
-            offset = obj.get("offset")
-            if not isinstance(phi_block, str) or not isinstance(pred, str):
-                raise WitnessDecodeError("assume without string blocks")
-            if type(offset) is not int:
-                raise WitnessDecodeError("assume without integer offset")
-            container[index] = AssumeWitness(vertex, phi_block, pred, offset)
-        elif node == "edge":
-            source = _node_from_json(obj.get("source"))
-            weight = obj.get("weight")
-            if type(weight) is not int:
-                raise WitnessDecodeError("edge without integer weight")
-            sub_holder: List[Optional[Witness]] = [None]
 
-            def _make_edge(children, vertex=vertex, source=source, weight=weight):
-                return EdgeWitness(vertex, source, weight, children[0])
+    def __init__(self) -> None:
+        self.vertices: List[tuple] = []
+        self.rows: List[tuple] = []
+        self._vertex_index: Dict[tuple, int] = {}
+        self._row_index: Dict[tuple, int] = {}
+        #: id(witness) -> (witness, row); holding the witness keeps its
+        #: id unique while the table lives.
+        self._encoded: Dict[int, Tuple[Witness, int]] = {}
 
-            stack.append(("build", (_make_edge, [sub_holder]), container, index))
-            stack.append(("visit", obj.get("sub"), sub_holder, 0))
-        elif node == "phi":
-            raw_branches = obj.get("branches")
-            if not isinstance(raw_branches, list):
-                raise WitnessDecodeError("phi without branch list")
-            sources: List[Node] = []
-            weights: List[int] = []
-            holders: List[List[Optional[Witness]]] = []
-            for raw in raw_branches:
-                if not isinstance(raw, dict):
-                    raise WitnessDecodeError("phi branch is not an object")
-                sources.append(_node_from_json(raw.get("source")))
-                weight = raw.get("weight")
-                if type(weight) is not int:
-                    raise WitnessDecodeError("phi branch without integer weight")
-                weights.append(weight)
-                holders.append([None])
+    @staticmethod
+    def _intern(key: tuple, table: List[tuple], index: Dict[tuple, int]) -> int:
+        if key not in index:
+            index[key] = len(table)
+            table.append(key)
+        return index[key]
 
-            def _make_phi(children, vertex=vertex, sources=sources, weights=weights):
-                branches = tuple(
-                    (src, wt, sub) for src, wt, sub in zip(sources, weights, children)
-                )
-                return PhiWitness(vertex, branches)
+    def vertex(self, node: Node) -> int:
+        key = ("const", node.value) if node.kind == "const" else (node.kind, node.name)
+        return self._intern(key, self.vertices, self._vertex_index)
 
-            stack.append(("build", (_make_phi, holders), container, index))
-            for raw, sub_holder in zip(raw_branches, holders):
-                stack.append(("visit", raw.get("sub"), sub_holder, 0))
+    def witness(self, root: Witness) -> int:
+        """Row of ``root``, appending the rows it needs.  Iterative, like
+        :func:`witness_to_json`; an aliased subtree is encoded once."""
+        encoded = self._encoded
+        stack = [root]
+        while stack:
+            w = stack[-1]
+            if id(w) in encoded:
+                stack.pop()
+                continue
+            subs: Tuple[Witness, ...] = ()
+            if isinstance(w, EdgeWitness):
+                subs = (w.sub,)
+            elif isinstance(w, PhiWitness):
+                subs = tuple(sub for _, _, sub in w.branches)
+            pending = [sub for sub in subs if id(sub) not in encoded]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            stack.pop()
+            v = self.vertex(w.vertex)
+            if isinstance(w, EdgeWitness):
+                source = self.vertex(w.source)
+                key: tuple = ("edge", v, source, w.weight, encoded[id(w.sub)][1])
+            elif isinstance(w, PhiWitness):
+                key = ("phi", v, tuple(
+                    (self.vertex(source), weight, encoded[id(sub)][1])
+                    for source, weight, sub in w.branches
+                ))
+            elif isinstance(w, AxiomWitness):
+                key = ("axiom", v, w.rule)
+            elif isinstance(w, CycleWitness):
+                key = ("cycle", v)
+            else:
+                key = ("assume", v, w.phi_block, w.pred, w.offset)
+            encoded[id(w)] = (w, self._intern(key, self.rows, self._row_index))
+        return encoded[id(root)][1]
+
+
+class WitnessDecodeError(ValueError):
+    """A stored table does not encode well-formed witnesses."""
+
+
+#: Saturation cap of the tree sizes :func:`decode_witness_table` reports.
+SIZE_CAP = 1 << 40
+
+
+def decode_witness_table(
+    vertices: list, rows: list
+) -> Tuple[List[Node], List[Witness], List[int]]:
+    """Rebuild the vertices and witnesses of one stored table.
+
+    Zero-trust: the lists are durable bytes that may have been tampered
+    with, so every shape violation raises :class:`WitnessDecodeError`.
+    Also returns each row's expanded tree size, saturating at
+    :data:`SIZE_CAP` (a few rows can stand for an exponentially large
+    tree): the most work a replay of that row can cost.
+    """
+    nodes = [_decode_vertex(raw) for raw in vertices]
+    witnesses: List[Witness] = []
+    sizes: List[int] = []
+
+    def field(value: object, bound: Optional[int], what: str) -> int:
+        if type(value) is not int or (bound is not None and not 0 <= value < bound):
+            raise WitnessDecodeError(f"row {len(witnesses)}: bad {what}")
+        return value
+
+    def vertex(value: object) -> Node:
+        return nodes[field(value, len(nodes), "vertex index")]
+
+    def sub(value: object) -> int:
+        return field(value, len(witnesses), "sub, not an earlier row")
+
+    for raw in rows:
+        tag, arity = (raw[0], len(raw)) if isinstance(raw, list) and raw else (None, 0)
+        size = 1
+        if tag == "axiom" and arity == 3 and isinstance(raw[2], str):
+            witness: Witness = AxiomWitness(vertex(raw[1]), raw[2])
+        elif tag == "cycle" and arity == 2:
+            witness = CycleWitness(vertex(raw[1]))
+        elif tag == "assume" and arity == 5 and all(isinstance(b, str) for b in raw[2:4]):
+            offset = field(raw[4], None, "offset")
+            witness = AssumeWitness(vertex(raw[1]), raw[2], raw[3], offset)
+        elif tag == "edge" and arity == 5:
+            child = sub(raw[4])
+            weight = field(raw[3], None, "weight")
+            witness = EdgeWitness(
+                vertex(raw[1]), vertex(raw[2]), weight, witnesses[child]
+            )
+            size += sizes[child]
+        elif tag == "phi" and arity == 3 and isinstance(raw[2], list):
+            branches = []
+            for branch in raw[2]:
+                if not isinstance(branch, list) or len(branch) != 3:
+                    raise WitnessDecodeError(f"row {len(witnesses)}: bad φ branch")
+                child = sub(branch[2])
+                weight = field(branch[1], None, "weight")
+                branches.append((vertex(branch[0]), weight, witnesses[child]))
+                size += sizes[child]
+            witness = PhiWitness(vertex(raw[1]), tuple(branches))
         else:
-            raise WitnessDecodeError(f"unknown witness node {node!r}")
-    return holder[0]
+            raise WitnessDecodeError(f"row {len(witnesses)}: malformed row")
+        witnesses.append(witness)
+        sizes.append(min(size, SIZE_CAP))
+    return nodes, witnesses, sizes
+
+
+def _decode_vertex(raw: object) -> Node:
+    if isinstance(raw, list) and len(raw) == 2:
+        kind, name = raw
+        if kind == "const" and type(name) is int:
+            return const_node(name)
+        if kind != "const" and isinstance(kind, str) and isinstance(name, str):
+            return Node(kind, name=name)
+    raise WitnessDecodeError("malformed vertex")

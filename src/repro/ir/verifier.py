@@ -16,18 +16,18 @@ Run after construction and after every transformation in tests; it enforces:
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, List
 
 from repro.errors import IRVerificationError
 from repro.ir.function import Function, Program
-from repro.ir.instructions import Call, Phi, Pi, Var
+from repro.ir.instructions import Call, Phi, Var
 
 
 def verify_function(fn: Function) -> None:
     """Raise :class:`IRVerificationError` on the first violated invariant."""
-    _verify_structure(fn)
+    preds = _verify_structure(fn)
     if fn.ssa_form in ("ssa", "essa"):
-        _verify_ssa(fn)
+        _verify_ssa(fn, preds)
 
 
 def verify_program(program: Program) -> None:
@@ -127,7 +127,8 @@ def _verify_chain_dominance(fn: Function, chains, context: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def _verify_structure(fn: Function) -> None:
+def _verify_structure(fn: Function) -> Dict[str, List[str]]:
+    """Check the CFG's shape; returns its predecessor map."""
     if fn.entry not in fn.blocks:
         raise IRVerificationError(f"{fn.name}: entry block {fn.entry!r} missing")
     # Successor targets must exist before any predecessor/reachability
@@ -181,6 +182,7 @@ def _verify_structure(fn: Function) -> None:
         raise IRVerificationError(
             f"{fn.name}: entry block has predecessors {preds[fn.entry]}"
         )
+    return preds
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +190,25 @@ def _verify_structure(fn: Function) -> None:
 # ----------------------------------------------------------------------
 
 
-def _verify_ssa(fn: Function) -> None:
+def _verify_ssa(fn: Function, preds: Dict[str, List[str]]) -> None:
+    """One walk over the reachable blocks: definitions first, then uses.
+
+    The dominator tree is built from this walk and ``preds``, never read
+    from an analysis cache: it is part of what the verifier checks.  A
+    π needs no rule of its own: its source is a use and its destination
+    a definition.
+    """
     from repro.analysis.dominance import DominatorTree
 
+    rpo = fn.reachable_blocks()
+    blocks = [(label, list(fn.blocks[label].instructions())) for label in rpo]
     definitions: Dict[str, str] = {}  # var -> defining block label
+    # Position of each definition within its block for intra-block ordering.
+    def_positions: Dict[str, int] = {}
     for param in fn.params:
         definitions[param] = fn.entry
-    for label in fn.reachable_blocks():
-        for instr in fn.blocks[label].instructions():
+    for label, instrs in blocks:
+        for position, instr in enumerate(instrs):
             dest = instr.defs()
             if dest is None:
                 continue
@@ -204,22 +217,14 @@ def _verify_ssa(fn: Function) -> None:
                     f"{fn.name}: variable {dest!r} defined more than once"
                 )
             definitions[dest] = label
-
-    domtree = DominatorTree.compute(fn)
-
-    # Position of each definition within its block for intra-block ordering.
-    def_positions: Dict[str, int] = {}
-    for label in fn.reachable_blocks():
-        for position, instr in enumerate(fn.blocks[label].instructions()):
-            dest = instr.defs()
-            if dest is not None:
-                def_positions[dest] = position
+            def_positions[dest] = position
     for param in fn.params:
         def_positions[param] = -1
 
-    for label in fn.reachable_blocks():
-        block = fn.blocks[label]
-        for position, instr in enumerate(block.instructions()):
+    domtree = DominatorTree.from_cfg(fn.entry, rpo, preds)
+
+    for label, instrs in blocks:
+        for position, instr in enumerate(instrs):
             if isinstance(instr, Phi):
                 for pred_label, operand in instr.incomings.items():
                     if isinstance(operand, Var):
@@ -246,9 +251,6 @@ def _verify_ssa(fn: Function) -> None:
                         f"its definition in {def_label!r}"
                     )
 
-    if fn.ssa_form == "essa":
-        _verify_pis(fn, definitions)
-
 
 def _check_reaches_block_end(
     fn: Function,
@@ -267,19 +269,3 @@ def _check_reaches_block_end(
             f"{fn.name}: φ operand {name!r} from {pred_label!r} not dominated "
             f"by its definition in {def_label!r}"
         )
-
-
-def _verify_pis(fn: Function, definitions: Dict[str, str]) -> None:
-    seen: Set[str] = set()
-    for label in fn.reachable_blocks():
-        for instr in fn.blocks[label].instructions():
-            if isinstance(instr, Pi):
-                if instr.src not in definitions:
-                    raise IRVerificationError(
-                        f"{fn.name}/{label}: π source {instr.src!r} undefined"
-                    )
-                if instr.dest in seen:
-                    raise IRVerificationError(
-                        f"{fn.name}: duplicate π destination {instr.dest!r}"
-                    )
-                seen.add(instr.dest)

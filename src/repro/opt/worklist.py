@@ -89,7 +89,9 @@ class _Worklist:
         self.chains: DefUseChains = fn.def_use()
         self.queue: Deque[Instr] = deque()
         self.queued: Set[int] = set()
-        self.visited_once: Set[int] = set()
+        #: id(instr) -> instr.  The value keeps a visited instruction
+        #: alive for the run, so a later one cannot reuse its id.
+        self.visited_once: Dict[int, Instr] = {}
         self.visited = 0
         self.revisits = 0
         self.changes = 0
@@ -131,7 +133,7 @@ class _Worklist:
                 if id(instr) in self.visited_once:
                     self.revisits += 1
                 else:
-                    self.visited_once.add(id(instr))
+                    self.visited_once[id(instr)] = instr
                 self._process(instr)
         finally:
             chains.on_use_removed = previous_hook

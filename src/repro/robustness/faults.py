@@ -820,23 +820,18 @@ def _disk_stale_schema(entry_path) -> None:
 
 
 def _forge_witness(obj) -> None:
-    """Tamper the first stored certificate: tighten the first edge weight
-    found (an iterative walk — witnesses nest arbitrarily deep), or, for
-    an entry with no edge witnesses, retarget the first elimination."""
+    """Tamper the stored certificates: tighten the first edge row's
+    weight, or, for a table with no edge rows, point the first
+    elimination's target at an added forged vertex."""
+    for row in obj.get("witnesses", []):
+        if row[0] == "edge":
+            row[3] -= 1
+            return
+    vertices = obj.get("vertices", [])
     for elims in obj.get("eliminations", {}).values():
         for elim in elims:
-            stack = [elim.get("witness")]
-            while stack:
-                node = stack.pop()
-                if not isinstance(node, dict):
-                    continue
-                if node.get("node") == "edge":
-                    node["weight"] = node["weight"] - 1
-                    return
-                stack.append(node.get("sub"))
-                for branch in node.get("branches", []) or []:
-                    stack.append(branch.get("sub") if isinstance(branch, dict) else None)
-            elim["target"] = {"kind": "var", "name": "__forged__"}
+            elim["target"] = len(vertices)
+            vertices.append(["var", "__forged__"])
             return
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.certify.witness import WitnessTable
 from repro.store.entry import Elimination, StoreEntry
 
 
@@ -28,6 +29,9 @@ class StoreCapture:
     def __init__(self) -> None:
         self.ir_by_function: Dict[str, str] = {}
         self.eliminations: Dict[str, List[Elimination]] = {}
+        #: One table for the unit, so rows shared across functions are
+        #: stored once.
+        self.table = WitnessTable()
         self.cacheable = True
         self.reason: Optional[str] = None
 
@@ -77,18 +81,15 @@ class StoreCapture:
             and record.certificate == "accepted"
         )
 
-    @staticmethod
-    def _elimination(site, record, pre: bool) -> Elimination:
-        from repro.certify.witness import _node_json, witness_to_json
-
+    def _elimination(self, site, record, pre: bool) -> Elimination:
         return Elimination(
             check_id=site.instr.check_id,
             kind=site.kind,
             array=site.array,
-            target=_node_json(site.target),
-            witness=witness_to_json(record.witness),
+            target=self.table.vertex(site.target),
+            witness=self.table.witness(record.witness),
             cert_source=(
-                _node_json(record.cert_source)
+                self.table.vertex(record.cert_source)
                 if record.cert_source is not None
                 else None
             ),
@@ -123,5 +124,7 @@ class StoreCapture:
             fingerprint=fingerprint,
             ir=ir,
             eliminations={k: list(v) for k, v in self.eliminations.items()},
+            vertices=self.table.vertices,
+            witnesses=self.table.rows,
             meta={"eliminated": eliminated, "functions": len(self.ir_by_function)},
         )

@@ -52,17 +52,18 @@ class EntryError(Exception):
 class Elimination:
     """One certified check elimination, as stored.
 
-    ``target``/``witness``/``cert_source`` are the JSON node forms
-    produced by :mod:`repro.certify.witness`; they are decoded and
-    re-checked at load time, never trusted.
+    ``target`` and ``cert_source`` index the entry's ``vertices`` and
+    ``witness`` its ``witnesses`` (the :class:`~repro.certify.witness.
+    WitnessTable` of the whole unit); they are decoded and re-checked at
+    load time, never trusted.
     """
 
     check_id: int
     kind: str  # "lower" | "upper"
     array: Optional[str]
-    target: Dict[str, object]
-    witness: Dict[str, object]
-    cert_source: Optional[Dict[str, object]] = None
+    target: int
+    witness: int
+    cert_source: Optional[int] = None
     pre: bool = False
 
 
@@ -73,12 +74,15 @@ class StoreEntry:
     ``ir`` is the **pre-removal** optimized IR (checks still present):
     certificate replay needs the inequality-graph edges the checks
     contribute, so removals are re-applied at load only after every
-    elimination re-certifies.
+    elimination re-certifies.  ``vertices`` and ``witnesses`` are the
+    certificates of every function, as one table.
     """
 
     fingerprint: str
     ir: str
     eliminations: Dict[str, List[Elimination]] = field(default_factory=dict)
+    vertices: List[list] = field(default_factory=list)
+    witnesses: List[list] = field(default_factory=list)
     meta: Dict[str, object] = field(default_factory=dict)
 
 
@@ -112,6 +116,8 @@ def entry_payload(entry: StoreEntry) -> Dict[str, object]:
             ]
             for name, elims in entry.eliminations.items()
         },
+        "vertices": entry.vertices,
+        "witnesses": entry.witnesses,
         "meta": entry.meta,
     }
 
@@ -173,11 +179,15 @@ def _entry_from_payload(obj: Dict[str, object]) -> StoreEntry:
     fingerprint = obj.get("fingerprint")
     ir = obj.get("ir")
     elims_obj = obj.get("eliminations")
+    vertices = obj.get("vertices")
+    witnesses = obj.get("witnesses")
     meta = obj.get("meta")
     if (
         not isinstance(fingerprint, str)
         or not isinstance(ir, str)
         or not isinstance(elims_obj, dict)
+        or not isinstance(vertices, list)
+        or not isinstance(witnesses, list)
         or not isinstance(meta, dict)
     ):
         raise EntryError("shape", "missing or mistyped top-level field")
@@ -186,9 +196,7 @@ def _entry_from_payload(obj: Dict[str, object]) -> StoreEntry:
         if not isinstance(name, str) or not isinstance(raw_list, list):
             raise EntryError("shape", "bad eliminations table")
         eliminations[name] = [_elimination_from(raw) for raw in raw_list]
-    return StoreEntry(
-        fingerprint=fingerprint, ir=ir, eliminations=eliminations, meta=meta
-    )
+    return StoreEntry(fingerprint, ir, eliminations, vertices, witnesses, meta)
 
 
 def _elimination_from(raw: object) -> Elimination:
@@ -205,9 +213,9 @@ def _elimination_from(raw: object) -> Elimination:
         raise EntryError("shape", "bad elimination check_id/kind")
     if array is not None and not isinstance(array, str):
         raise EntryError("shape", "bad elimination array")
-    if not isinstance(target, dict) or not isinstance(witness, dict):
+    if type(target) is not int or type(witness) is not int:
         raise EntryError("shape", "bad elimination target/witness")
-    if cert_source is not None and not isinstance(cert_source, dict):
+    if cert_source is not None and type(cert_source) is not int:
         raise EntryError("shape", "bad elimination cert_source")
     if not isinstance(pre, bool):
         raise EntryError("shape", "bad elimination pre flag")

@@ -31,8 +31,10 @@ from typing import Optional
 
 from repro.core.abcd import ABCDConfig
 
-#: Bump on any incompatible change to the entry payload format.
-SCHEMA_VERSION = 1
+#: Bump on any incompatible change to the entry payload format.  Schema 2
+#: stores an entry's certificates as one witness table; schema 1 stored
+#: one tree per certificate.
+SCHEMA_VERSION = 2
 
 #: Config fields that select a validation posture, not an output.
 _CONFIG_EXCLUDED = frozenset({"certify", "strict", "certify_quarantine"})

@@ -17,11 +17,13 @@ Reads are **zero-trust** — the load ladder, in order:
 2. identity: the payload's embedded fingerprint must match the address
    it was loaded from;
 3. IR: the pre-removal text must parse and pass the IR verifier;
-4. **certificate replay**: every elimination is re-proved through the
-   independent certify checker against inequality graphs rebuilt from
-   the loaded IR (:func:`repro.certify.driver.replay_elimination`);
-5. only then are the eliminated checks removed, the result verified
-   again, and the program released to the caller.
+4. **certificate replay**: the entry's witness table is decoded once and
+   its expanded size bounded, then every elimination is re-proved through
+   the independent certify checker against inequality graphs rebuilt from
+   the loaded IR (:func:`repro.certify.driver.replay_elimination`), a
+   function's non-PRE certificates through one replay per (kind, source);
+5. only then are the eliminated checks removed, each function that lost
+   one verified again, and the program released to the caller.
 
 Any rung failing quarantines the entry (atomic rename out of
 ``objects/``) and reports a miss — the caller falls back to a fresh
@@ -44,6 +46,11 @@ from repro.store.entry import EntryError, StoreEntry, decode_entry, encode_entry
 #: An entry larger than this is quarantined unread (a runaway or hostile
 #: payload must not cost unbounded memory on the serve path).
 MAX_ENTRY_BYTES = 32 * 1024 * 1024
+
+#: The most tree nodes an entry's certificates may expand to: what one
+#: tree per certificate (at least ~50 bytes a node) could fit in
+#: ``MAX_ENTRY_BYTES``.  Shared rows must not buy more replay work.
+MAX_WITNESS_NODES = MAX_ENTRY_BYTES // 50
 
 
 @dataclass
@@ -233,14 +240,10 @@ class CertStore:
     def _revalidate_inner(self, entry: StoreEntry, config) -> _Revalidation:
         from repro.certify.checker import AssumeContext
         from repro.certify.driver import fresh_bundle, replay_elimination
-        from repro.certify.witness import (
-            WitnessDecodeError,
-            _node_from_json,
-            witness_from_json,
-        )
+        from repro.certify.witness import WitnessDecodeError, decode_witness_table
         from repro.ir.instructions import CheckLower, CheckUpper, Var
         from repro.ir.parser import parse_ir_program
-        from repro.ir.verifier import verify_program
+        from repro.ir.verifier import verify_function, verify_program
         from repro.core.graph import const_node, var_node
 
         try:
@@ -254,6 +257,34 @@ class CertStore:
         if unknown:
             self.bump("store.replay_rejected")
             return _Revalidation(reason=f"shape: unknown functions {unknown}")
+
+        # Decode the whole table once, and bound the replay work its DAG
+        # can cause before replaying anything.
+        try:
+            nodes, witnesses, sizes = decode_witness_table(
+                entry.vertices, entry.witnesses
+            )
+        except WitnessDecodeError as exc:
+            return self._reject(f"certificate: {exc}")
+        expanded = 0
+        for name, elims in entry.eliminations.items():
+            for elim in elims:
+                if not all(
+                    index is None or 0 <= index < len(table)
+                    for index, table in (
+                        (elim.target, nodes),
+                        (elim.witness, witnesses),
+                        (elim.cert_source, nodes),
+                    )
+                ):
+                    return self._reject(
+                        f"certificate: {name}#{elim.check_id} index out of range"
+                    )
+                expanded += sizes[elim.witness]
+        if expanded > MAX_WITNESS_NODES:
+            return self._reject(
+                f"certificate: witnesses expand past {MAX_WITNESS_NODES} nodes"
+            )
 
         replayed = 0
         removals = []  # (fn, label, instr)
@@ -270,6 +301,9 @@ class CertStore:
                         sites[("upper", instr.check_id)] = (label, instr)
             bundle = fresh_bundle(fn, config)
             gvn_cache: List[Optional[object]] = [None]
+            # One replay per (kind, source) for the function's non-PRE
+            # certificates, as in ``certify_state``.
+            replays: Dict[tuple, object] = {}
             for elim in elims:
                 located = sites.get((elim.kind, elim.check_id))
                 if located is None:
@@ -288,17 +322,7 @@ class CertStore:
                     if isinstance(operand, Var)
                     else const_node(operand.value)
                 )
-                try:
-                    stored_target = _node_from_json(elim.target)
-                    witness = witness_from_json(elim.witness)
-                    cert_source = (
-                        _node_from_json(elim.cert_source)
-                        if elim.cert_source is not None
-                        else None
-                    )
-                except WitnessDecodeError as exc:
-                    return self._reject(f"certificate: {exc}")
-                if stored_target != target:
+                if nodes[elim.target] != target:
                     return self._reject(
                         f"certificate: {name}#{elim.check_id} target mismatch"
                     )
@@ -316,10 +340,13 @@ class CertStore:
                     kind=elim.kind,
                     array=elim.array,
                     target=target,
-                    witness=witness,
-                    cert_source=cert_source,
+                    witness=witnesses[elim.witness],
+                    cert_source=(
+                        None if elim.cert_source is None else nodes[elim.cert_source]
+                    ),
                     assume=assume,
                     gvn_cache=gvn_cache,
+                    replays=None if elim.pre else replays,
                 )
                 if reason is not None:
                     return self._reject(
@@ -333,7 +360,10 @@ class CertStore:
         for fn, label, instr in removals:
             fn.remove_instr(label, instr)
         try:
-            verify_program(program)
+            # A removal touches no other function, and rung 3 verified
+            # the whole program.
+            for fn in {id(fn): fn for fn, _, _ in removals}.values():
+                verify_function(fn)
         except Exception as exc:
             self.bump("store.replay_rejected")
             return _Revalidation(reason=f"ir-post: {exc}")

@@ -12,9 +12,13 @@ Three contracts from the PR that introduced :mod:`repro.opt.worklist`:
    dense fixpoint-group sweep pays on the same input.
 """
 
+import builtins
+import weakref
+
 import pytest
 
 import repro.opt as opt
+import repro.opt.worklist as worklist_module
 from repro.bench.corpus import get, names
 from repro.ir import format_function
 from repro.pipeline import compile_source
@@ -157,3 +161,62 @@ def test_session_stats_carry_worklist_counters():
     recorded = {p["name"]: p for p in payload["passes"]}
     assert recorded["standard-pipeline"]["instructions_visited"] > 0
     assert "worklist_revisits" in recorded["standard-pipeline"]
+
+
+class _ReusingIds:
+    """An ``id`` that hands a dead object's address to the next new one,
+    as CPython's allocator may."""
+
+    def __init__(self) -> None:
+        self.assigned = {}
+        self.free = []
+
+    def __call__(self, obj) -> int:
+        key = builtins.id(obj)
+        address = self.assigned.get(key)
+        if address is None:
+            if self.free:
+                address = self.free.pop()
+            else:
+                address = len(self.assigned) + len(self.free)
+            self.assigned[key] = address
+            weakref.finalize(obj, self._release, key)
+        return address
+
+    def _release(self, key) -> None:
+        self.free.append(self.assigned.pop(key))
+
+
+class _FreshIds:
+    """An ``id`` that never reuses an address (it keeps every object)."""
+
+    def __init__(self) -> None:
+        self.held = {}
+
+    def __call__(self, obj) -> int:
+        key = builtins.id(obj)
+        if key not in self.held:
+            self.held[key] = (obj, len(self.held))
+        return self.held[key][1]
+
+
+#: Folding ``a`` frees its BinOp; the Copy that folding ``b`` creates
+#: next is the first new instruction that could take the freed address.
+FOLDS_SRC = """
+fn main(): int {
+  let a: int = 1 + 2;
+  let b: int = 3 + 4;
+  let c: int = a + b;
+  return c * 2;
+}
+"""
+
+
+def test_revisits_do_not_depend_on_address_reuse(monkeypatch):
+    counts = []
+    for ids in (_ReusingIds(), _FreshIds()):
+        fn = fresh(FOLDS_SRC).function("main")
+        monkeypatch.setattr(worklist_module, "id", ids, raising=False)
+        counts.append(opt.optimize_worklist(fn).worklist_revisits)
+    reused, fresh_count = counts
+    assert reused == fresh_count
