@@ -110,18 +110,12 @@ class _LoopPlan:
         return [c.check for c in self.uppers] + [c.check for c in self.lowers]
 
 
-def version_loops(fn: Function, program: Program, analysis=None) -> VersioningReport:
-    """Apply loop versioning to one non-SSA function in place.
-
-    ``analysis`` (an :class:`~repro.passes.analysis.AnalysisManager`)
-    serves the natural-loop analysis from the session cache; versioning
-    mutates the CFG, so the function's cached analyses are dropped after
-    any transformation.
-    """
+def version_loops(fn: Function, program: Program) -> VersioningReport:
+    """Apply loop versioning to one non-SSA function in place."""
     if fn.ssa_form != "none":
         raise ValueError("loop versioning must run before SSA construction")
     report = VersioningReport()
-    loops = analysis.get("loops", fn) if analysis is not None else find_natural_loops(fn)
+    loops = find_natural_loops(fn)
     # Plan against a stable snapshot: versioning adds loops (the clones),
     # which must not be re-versioned.
     plans = []
@@ -133,17 +127,15 @@ def version_loops(fn: Function, program: Program, analysis=None) -> VersioningRe
         _apply(fn, program, plan, report)
     if plans:
         # Versioning clones blocks and rewires edges directly; drop the
-        # def-use index along with any cached analyses.
+        # def-use index.
         fn.invalidate_def_use()
-        if analysis is not None:
-            analysis.invalidate(fn)
     return report
 
 
-def version_program_loops(program: Program, analysis=None) -> VersioningReport:
+def version_program_loops(program: Program) -> VersioningReport:
     report = VersioningReport()
     for fn in program.functions.values():
-        report.merge(version_loops(fn, program, analysis=analysis))
+        report.merge(version_loops(fn, program))
     return report
 
 

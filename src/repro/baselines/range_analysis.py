@@ -75,10 +75,6 @@ class Interval:
     def at_least(cls, value: float) -> "Interval":
         return cls(value, INF)
 
-    @classmethod
-    def at_most(cls, value: float) -> "Interval":
-        return cls(-INF, value)
-
     def join(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 

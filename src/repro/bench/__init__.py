@@ -6,7 +6,6 @@ from repro.bench.harness import (
     format_figure6,
     measure_program,
     run_benchmark,
-    run_corpus,
 )
 
 __all__ = [
@@ -18,6 +17,5 @@ __all__ = [
     "BenchResult",
     "run_benchmark",
     "measure_program",
-    "run_corpus",
     "format_figure6",
 ]

@@ -10,8 +10,9 @@ For one program the pipeline is:
 4. verify the observable result is identical and derive the dynamic /
    static removal statistics.
 
-``run_corpus`` maps this over the Figure-6 corpus; the ``benchmarks/``
-files format the resulting rows to match each experiment (E1–E8).
+``run_benchmark`` runs this for one Figure-6 corpus program; the
+``benchmarks/`` files and ``repro bench`` map it over the corpus and
+format the resulting rows to match each experiment (E1–E8).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.bench.corpus import CORPUS, BenchmarkProgram
+from repro.bench.corpus import BenchmarkProgram
 from repro.core.abcd import ABCDConfig, ABCDReport
 from repro.ir.function import Program
 from repro.passes.session import CompilationSession
@@ -232,26 +233,6 @@ def measure_program(
     )
     result._speculative_upper_ids = speculative_upper_ids
     return result
-
-
-def run_corpus(
-    config: Optional[ABCDConfig] = None,
-    pre: bool = True,
-    names: Optional[List[str]] = None,
-) -> List[BenchResult]:
-    """Run the measurement pipeline over the (selected) corpus."""
-    results = []
-    for program in CORPUS:
-        if names is not None and program.name not in names:
-            continue
-        cfg = None
-        if config is not None:
-            # Each program needs a fresh config copy (PRE flips state).
-            import dataclasses
-
-            cfg = dataclasses.replace(config)
-        results.append(run_benchmark(program, config=cfg, pre=pre))
-    return results
 
 
 # ----------------------------------------------------------------------

@@ -211,11 +211,14 @@ class WitnessTable:
     ``("assume", v, phi_block, pred, offset)``, ``("edge", v, src,
     weight, sub)`` or ``("phi", v, ((src, weight, sub), ...))``, where
     ``v`` and ``src`` index ``vertices`` and ``sub`` an earlier row.
+    ``sizes[r]`` is row ``r``'s expanded tree size, by the rule the
+    decoder bounds replay work with (:func:`tree_size`).
     """
 
     def __init__(self) -> None:
         self.vertices: List[tuple] = []
         self.rows: List[tuple] = []
+        self.sizes: List[int] = []
         self._vertex_index: Dict[tuple, int] = {}
         self._row_index: Dict[tuple, int] = {}
         #: id(witness) -> (witness, row); holding the witness keeps its
@@ -254,13 +257,14 @@ class WitnessTable:
                 continue
             stack.pop()
             v = self.vertex(w.vertex)
+            children = [encoded[id(sub)][1] for sub in subs]
             if isinstance(w, EdgeWitness):
                 source = self.vertex(w.source)
-                key: tuple = ("edge", v, source, w.weight, encoded[id(w.sub)][1])
+                key: tuple = ("edge", v, source, w.weight, children[0])
             elif isinstance(w, PhiWitness):
                 key = ("phi", v, tuple(
-                    (self.vertex(source), weight, encoded[id(sub)][1])
-                    for source, weight, sub in w.branches
+                    (self.vertex(source), weight, child)
+                    for (source, weight, _), child in zip(w.branches, children)
                 ))
             elif isinstance(w, AxiomWitness):
                 key = ("axiom", v, w.rule)
@@ -268,7 +272,10 @@ class WitnessTable:
                 key = ("cycle", v)
             else:
                 key = ("assume", v, w.phi_block, w.pred, w.offset)
-            encoded[id(w)] = (w, self._intern(key, self.rows, self._row_index))
+            row = self._intern(key, self.rows, self._row_index)
+            if row == len(self.sizes):
+                self.sizes.append(tree_size(sum(self.sizes[c] for c in children)))
+            encoded[id(w)] = (w, row)
         return encoded[id(root)][1]
 
 
@@ -276,8 +283,14 @@ class WitnessDecodeError(ValueError):
     """A stored table does not encode well-formed witnesses."""
 
 
-#: Saturation cap of the tree sizes :func:`decode_witness_table` reports.
+#: Saturation cap of the tree sizes :func:`tree_size` reports.
 SIZE_CAP = 1 << 40
+
+
+def tree_size(children_total: int) -> int:
+    """Expanded tree size of a row whose children expand to
+    ``children_total`` nodes together, saturating at :data:`SIZE_CAP`."""
+    return min(1 + children_total, SIZE_CAP)
 
 
 def decode_witness_table(
@@ -287,9 +300,9 @@ def decode_witness_table(
 
     Zero-trust: the lists are durable bytes that may have been tampered
     with, so every shape violation raises :class:`WitnessDecodeError`.
-    Also returns each row's expanded tree size, saturating at
-    :data:`SIZE_CAP` (a few rows can stand for an exponentially large
-    tree): the most work a replay of that row can cost.
+    Also returns each row's expanded tree size (:func:`tree_size`; a few
+    rows can stand for an exponentially large tree): the most work a
+    replay of that row can cost.
     """
     nodes = [_decode_vertex(raw) for raw in vertices]
     witnesses: List[Witness] = []
@@ -308,7 +321,7 @@ def decode_witness_table(
 
     for raw in rows:
         tag, arity = (raw[0], len(raw)) if isinstance(raw, list) and raw else (None, 0)
-        size = 1
+        children_total = 0
         if tag == "axiom" and arity == 3 and isinstance(raw[2], str):
             witness: Witness = AxiomWitness(vertex(raw[1]), raw[2])
         elif tag == "cycle" and arity == 2:
@@ -322,7 +335,7 @@ def decode_witness_table(
             witness = EdgeWitness(
                 vertex(raw[1]), vertex(raw[2]), weight, witnesses[child]
             )
-            size += sizes[child]
+            children_total += sizes[child]
         elif tag == "phi" and arity == 3 and isinstance(raw[2], list):
             branches = []
             for branch in raw[2]:
@@ -331,12 +344,12 @@ def decode_witness_table(
                 child = sub(branch[2])
                 weight = field(branch[1], None, "weight")
                 branches.append((vertex(branch[0]), weight, witnesses[child]))
-                size += sizes[child]
+                children_total += sizes[child]
             witness = PhiWitness(vertex(raw[1]), tuple(branches))
         else:
             raise WitnessDecodeError(f"row {len(witnesses)}: malformed row")
         witnesses.append(witness)
-        sizes.append(min(size, SIZE_CAP))
+        sizes.append(tree_size(children_total))
     return nodes, witnesses, sizes
 
 

@@ -192,9 +192,6 @@ class ABCDReport:
     def pre_transformed(self) -> int:
         return sum(1 for a in self.analyses if a.pre_applied)
 
-    def by_scope(self, scope: str) -> int:
-        return sum(1 for a in self.analyses if a.eliminated and a.scope == scope)
-
     # ------------------------------------------------------------------
     # Robustness telemetry.
     # ------------------------------------------------------------------
@@ -245,12 +242,6 @@ class ABCDReport:
         """Eliminations undone by the revocation ladder (the checks stayed
         in the program)."""
         return sum(1 for a in self.analyses if a.revoked)
-
-    def merge(self, other: "ABCDReport") -> None:
-        self.analyses.extend(other.analyses)
-        self.pass_failures.extend(other.pass_failures)
-        self.quarantined_functions.extend(other.quarantined_functions)
-
 
 @dataclass
 class _CheckSite:

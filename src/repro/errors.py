@@ -96,27 +96,15 @@ class PassGuardError(ReproError):
     """
 
 
-class AnalysisInvalidationError(ReproError):
-    """A pass's ``preserves`` declaration was wrong (debug mode only).
-
-    Raised by the :class:`~repro.passes.analysis.AnalysisManager` when its
-    recompute-and-compare check finds that an analysis a pass claimed to
-    preserve no longer matches a fresh computation.  Outside debug mode the
-    manager trusts the declarations and the lie would surface as a stale
-    cache, so the debug check exists to catch the declaration bug early.
-    """
-
-
-class DefUseIntegrityError(AnalysisInvalidationError):
+class DefUseIntegrityError(ReproError):
     """The incremental def-use index disagrees with the IR (debug mode).
 
-    Raised by :meth:`repro.ir.defuse.DefUseChains.assert_consistent` when a
-    rebuild-from-scratch finds a dangling use, a stale index entry, or a
-    use-list out of sync — i.e. a pass mutated the function without going
-    through the chain-maintaining mutators and without invalidating the
-    index.  Subclasses :class:`AnalysisInvalidationError` because the
-    def-use index is exactly a cached analysis whose declared maintenance
-    was violated.
+    Raised by :func:`repro.ir.verifier.verify_def_use`, which a debug
+    session runs after every pass, when a rebuild-from-scratch finds a
+    dangling use, a stale index entry, a use-list out of sync, or a use
+    its definition does not dominate — i.e. a pass mutated the function
+    without going through the chain-maintaining mutators and without
+    invalidating the index.
     """
 
 

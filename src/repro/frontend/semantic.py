@@ -44,10 +44,6 @@ class SemanticInfo:
     expr_types: Dict[int, Type] = field(default_factory=dict)
     var_types: Dict[Tuple[str, str], Type] = field(default_factory=dict)
 
-    def type_of(self, expr: ast.Expr) -> Type:
-        """Return the checked type of ``expr``."""
-        return self.expr_types[id(expr)]
-
     def var_type(self, function_name: str, var_name: str) -> Type:
         """Return the declared type of a local/parameter."""
         return self.var_types[(function_name, var_name)]

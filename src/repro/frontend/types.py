@@ -21,14 +21,6 @@ class Type:
     def __str__(self) -> str:
         return self.name
 
-    @property
-    def is_array(self) -> bool:
-        return self is INT_ARRAY
-
-    @property
-    def is_scalar(self) -> bool:
-        return self is INT or self is BOOL
-
 
 INT = Type("int")
 BOOL = Type("bool")

@@ -115,10 +115,6 @@ class OracleVerdict:
     #: The optimized-side session's per-pass stats, for campaign folding.
     stats: Optional["SessionStats"] = None
 
-    @property
-    def is_finding(self) -> bool:
-        return self.signature is not None
-
 
 def outcomes_equivalent(base: ExecutionOutcome, optimized: ExecutionOutcome) -> bool:
     """Check-id-insensitive behavioral equality.
@@ -262,7 +258,7 @@ def _check_codegen(
 ) -> Optional[OracleVerdict]:
     """Compare the interpreter's outcome against compiled-to-Python
     execution of the same optimized program."""
-    from repro.errors import BoundsCheckError, MiniJRuntimeError
+    from repro.errors import MiniJRuntimeError
     from repro.runtime.codegen import compile_to_python
 
     try:
@@ -270,19 +266,8 @@ def _check_codegen(
         try:
             result = compiled.run("main", ())
             gen_outcome = ExecutionOutcome(value=result.value)
-        except BoundsCheckError as exc:
-            gen_outcome = ExecutionOutcome(
-                trap=type(exc).__name__,
-                trap_message=str(exc),
-                check_id=exc.check_id,
-                index=exc.index,
-                length=exc.length,
-                kind=exc.kind,
-            )
         except MiniJRuntimeError as exc:
-            gen_outcome = ExecutionOutcome(
-                trap=type(exc).__name__, trap_message=str(exc)
-            )
+            gen_outcome = ExecutionOutcome.from_trap(exc)
     except Exception as exc:
         return _crash_verdict(exc, "codegen")
 

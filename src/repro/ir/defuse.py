@@ -37,7 +37,7 @@ pipelines.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Optional, Type
+from typing import Callable, Dict, List, Optional, Type
 
 from repro.ir.instructions import Instr
 
@@ -135,10 +135,6 @@ class DefUseChains:
             return self.fn.entry
         return None
 
-    def uses_of(self, name: str) -> List[Instr]:
-        info = self.values.get(name)
-        return list(info.uses) if info is not None else []
-
     def users_of(self, name: str) -> List[Instr]:
         """Distinct using instructions, in first-use order."""
         info = self.values.get(name)
@@ -229,13 +225,6 @@ class DefUseChains:
                 info.uses.append(instr)
         return True
 
-    def rename_def(self, instr: Instr, old_name: str, new_name: str) -> None:
-        """Move ``instr`` from ``old_name``'s def list to ``new_name``'s
-        (the caller has already rewritten the destination field)."""
-        info = self._ensure(old_name)
-        info.defs = [d for d in info.defs if d is not instr]
-        self._ensure(new_name).defs.append(instr)
-
     # ------------------------------------------------------------------
     # Integrity.
     # ------------------------------------------------------------------
@@ -299,10 +288,3 @@ class DefUseChains:
             f"DefUseChains({self.fn.name!r}, {len(self.values)} values, "
             f"{len(self._alive)} instrs)"
         )
-
-
-def iter_chain_defs(chains: DefUseChains) -> Iterable[Instr]:
-    """Every defining instruction known to the chains (helper for
-    consumers that only care about value-producing instructions)."""
-    for info in chains.values.values():
-        yield from info.defs

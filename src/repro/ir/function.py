@@ -155,12 +155,6 @@ class Function:
     # way to edit an indexed function in place.
     # ------------------------------------------------------------------
 
-    def insert_instr(self, label: str, index: int, instr: Instr) -> None:
-        """Insert ``instr`` into the body of ``label`` at ``index``."""
-        self.blocks[label].body.insert(index, instr)
-        if self._defuse is not None:
-            self._defuse.register(instr, label)
-
     def append_instr(self, label: str, instr: Instr) -> None:
         """Append ``instr`` to the body of ``label``."""
         self.blocks[label].body.append(instr)
@@ -191,12 +185,6 @@ class Function:
         if self._defuse is not None:
             self._defuse.unregister(old)
             self._defuse.register(new, label)
-
-    def add_phi(self, label: str, phi: Phi) -> None:
-        """Append a φ to the head of ``label``."""
-        self.blocks[label].phis.append(phi)
-        if self._defuse is not None:
-            self._defuse.register(phi, label)
 
     def remove_phi(self, label: str, phi: Phi) -> None:
         """Remove a φ (identity match) from the head of ``label``."""

@@ -19,7 +19,7 @@ directly recognizable in the IR.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 
 # ----------------------------------------------------------------------
@@ -661,12 +661,3 @@ class Pi(Instr):
 
 #: Instructions that define a value.
 DEFINING_INSTRS = (Copy, BinOp, Cmp, ArrayNew, ArrayLen, ArrayLoad, Call, Phi, Pi)
-
-
-def all_instr_vars(instr: Instr) -> Iterable[str]:
-    """All variable names mentioned by ``instr`` (defs and uses)."""
-    for name in instr.used_vars():
-        yield name
-    dest = instr.defs()
-    if dest is not None:
-        yield dest

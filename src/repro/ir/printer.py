@@ -37,11 +37,3 @@ def format_function(fn: Function) -> str:
 def format_program(program: Program) -> str:
     """Render every function of ``program``."""
     return "\n\n".join(format_function(fn) for fn in program.functions.values())
-
-
-def print_function(fn: Function) -> None:
-    print(format_function(fn))
-
-
-def print_program(program: Program) -> None:
-    print(format_program(program))

@@ -60,9 +60,9 @@ def verify_def_use(fn: Function, context: str = "") -> None:
       end of the corresponding predecessor, as in :func:`verify_function`).
 
     A function without a materialized index passes trivially (nothing to
-    be out of sync).  Raises the
-    :class:`~repro.errors.DefUseIntegrityError` member of the
-    ``AnalysisInvalidationError`` family.
+    be out of sync).  Raises :class:`~repro.errors.DefUseIntegrityError`.
+    A debug :class:`~repro.passes.session.CompilationSession` runs this
+    after every pass.
     """
     if not fn.has_def_use():
         return

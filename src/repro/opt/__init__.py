@@ -3,7 +3,7 @@
 from repro.opt.constant_folding import fold_constants
 from repro.opt.copy_propagation import propagate_copies
 from repro.opt.dce import eliminate_dead_code
-from repro.opt.gvn import ValueNumbering, array_congruence_classes, value_number
+from repro.opt.gvn import ValueNumbering, value_number
 from repro.opt.worklist import WorklistResult, optimize_worklist
 from repro.ir.function import Function
 
@@ -32,6 +32,5 @@ __all__ = [
     "WorklistResult",
     "value_number",
     "ValueNumbering",
-    "array_congruence_classes",
     "run_standard_pipeline",
 ]

@@ -15,7 +15,7 @@ bounds-check optimization; the harness measures check counts, which dead
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict
 
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -88,14 +88,3 @@ def _count_uses(fn: Function) -> Dict[str, int]:
         for name in instr.used_vars():
             counts[name] = counts.get(name, 0) + 1
     return counts
-
-
-def unused_variables(fn: Function) -> Set[str]:
-    """Variables defined but never used (diagnostic helper)."""
-    counts = _count_uses(fn)
-    unused = set()
-    for instr in fn.all_instructions():
-        dest = instr.defs()
-        if dest is not None and counts.get(dest, 0) == 0:
-            unused.add(dest)
-    return unused

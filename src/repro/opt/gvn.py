@@ -55,10 +55,6 @@ class ValueNumbering:
             return {name}
         return set(self._members[self.class_of[name]])
 
-    def as_classes(self) -> Dict[str, Set[str]]:
-        """Map every variable to its congruence class (for ABCDConfig)."""
-        return {name: self.class_members(name) for name in self.class_of}
-
 
 def value_number(fn: Function, domtree=None) -> ValueNumbering:
     """Run dominator-order value numbering over an SSA function.
@@ -157,8 +153,3 @@ def _expr_key(instr, operand_key) -> Optional[Tuple]:
     if isinstance(instr, ArrayLen):
         return ("arraylen", operand_key(Var(instr.array)))
     return None
-
-
-def array_congruence_classes(fn: Function) -> Dict[str, Set[str]]:
-    """Convenience for ABCD: congruence classes of every variable."""
-    return value_number(fn).as_classes()

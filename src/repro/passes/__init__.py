@@ -4,7 +4,8 @@ See ``DESIGN.md`` §8 for the architecture.  Entry points:
 
 * :class:`CompilationSession` — one compilation's cache + guard + stats;
 * :class:`PassManager` / :class:`PassContext` — the uniform driver;
-* :class:`AnalysisManager` — cached dominance/loops/GVN/def-use;
+* :class:`AnalysisManager` — the dominator-tree and GVN cache, dropped
+  per function after a mutating pass;
 * :data:`PASS_REGISTRY` and the ``default_*_passes`` builders.
 """
 

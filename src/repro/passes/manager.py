@@ -1,10 +1,12 @@
 """The pass manager: one declarative driver for every transformation.
 
-A :class:`Pass` declares its ``name``, the analyses it ``requires`` and
-``preserves``, and how it wants to be sandboxed (``snapshot``/``verify``).
+A :class:`Pass` declares its ``name``, whether it ``mutates`` the
+function, and how it wants to be sandboxed (``snapshot``/``verify``).
 The :class:`PassManager` is the one pass sandbox — snapshot → run →
 verify → rollback — and hands every contained failure to the context's
-:class:`~repro.robustness.guard.PassGuard`, the failure sink.
+:class:`~repro.robustness.guard.PassGuard`, the failure sink.  It also
+keeps the analysis cache honest with one rule: a mutating pass that
+succeeds (or rolls back) drops every cached analysis of its function.
 ``pipeline.py``, the CLI, the differential gate, and the bench harness
 all drive the same pass list through
 :class:`~repro.passes.session.CompilationSession`.  Per-pass wall time,
@@ -30,7 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.abcd import ABCDConfig, ABCDReport
 from repro.ir.function import Function, Program
 from repro.ir.verifier import verify_def_use, verify_function
-from repro.passes.analysis import ANALYSES, AnalysisManager
+from repro.passes.analysis import AnalysisManager
 from repro.robustness.guard import PassGuard, _restore_in_place
 from repro.runtime.profiler import Profile
 
@@ -42,19 +44,15 @@ class Pass:
 
     * ``name`` — registry key and failure-attribution label;
     * ``scope`` — ``"function"`` or ``"program"``;
-    * ``requires`` — analyses prefetched through the cache before the run;
-    * ``preserves`` — analyses still valid after a *mutating* run; the
-      manager invalidates everything else;
-    * ``mutates`` — pure analysis passes set this ``False`` and trigger no
-      invalidation at all;
+    * ``mutates`` — after a mutating pass the manager drops every cached
+      analysis of the function; pure analysis passes set this ``False``
+      and keep the cache;
     * ``snapshot``/``verify`` — whether the manager clones before the run
       and re-verifies the IR after it (self-guarded passes opt out).
     """
 
     name: str = "<pass>"
     scope: str = "function"
-    requires: Tuple[str, ...] = ()
-    preserves: Tuple[str, ...] = ()
     mutates: bool = True
     snapshot: bool = True
     verify: bool = True
@@ -71,12 +69,7 @@ class Pass:
 
 
 class FixpointGroup:
-    """A bounded-fixpoint group of function passes (see module docstring).
-
-    The group's effective ``preserves`` is the intersection of its
-    members' declarations — what every member keeps is all the group as a
-    whole can promise.
-    """
+    """A bounded-fixpoint group of function passes (see module docstring)."""
 
     scope = "function"
 
@@ -84,10 +77,6 @@ class FixpointGroup:
         self.name = name
         self.members = list(members)
         self.max_rounds = max_rounds
-        preserved = set(ANALYSES)
-        for member in self.members:
-            preserved &= set(member.preserves)
-        self.preserves: Tuple[str, ...] = tuple(sorted(preserved))
 
     def should_run(self, fn: Function, ctx: "PassContext") -> bool:
         return all(member.should_run(fn, ctx) for member in self.members)
@@ -304,7 +293,7 @@ class PassContext:
 
 class PassManager:
     """Runs registered passes over functions with the uniform guard
-    protocol and declared analysis invalidation."""
+    protocol, dropping a function's analyses after a mutating pass."""
 
     def __init__(self, ctx: PassContext) -> None:
         self.ctx = ctx
@@ -343,8 +332,6 @@ class PassManager:
         ctx = self.ctx
         if not p.should_run(fn, ctx):
             return None
-        for name in p.requires:
-            ctx.analysis.get(name, fn)
         started = time.perf_counter()
         snapshot = fn.clone() if p.snapshot else None
         try:
@@ -363,9 +350,7 @@ class PassManager:
             ctx.guard.contain(p.name, fn.name, exc)
             return None
         if p.mutates:
-            ctx.analysis.retain_only(fn, p.preserves)
-            if ctx.analysis.debug:
-                ctx.analysis.verify_preserved(fn, p.name)
+            ctx.analysis.invalidate(fn)
         if ctx.analysis.debug:
             verify_def_use(fn, p.name)
         ctx.stats.record(
@@ -445,9 +430,7 @@ class PassManager:
             for name, seconds, changed in member_stats:
                 ctx.stats.record(name, seconds, changed=changed)
             if round_changes:
-                ctx.analysis.retain_only(fn, group.preserves)
-                if ctx.analysis.debug:
-                    ctx.analysis.verify_preserved(fn, group.name)
+                ctx.analysis.invalidate(fn)
             if ctx.analysis.debug:
                 verify_def_use(fn, group.name)
             total += round_changes

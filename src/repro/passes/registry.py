@@ -1,22 +1,17 @@
 """The unified pass registry: every transformation as a declared Pass.
 
-This is the single source of truth for pass order and invalidation
-semantics.  ``pipeline.compile_source``/``abcd``, the CLI, the
+This is the single source of truth for pass order and for which passes
+mutate.  ``pipeline.compile_source``/``abcd``, the CLI, the
 differential gate, and the bench harness all build their pipelines from
 these definitions through :class:`~repro.passes.session.
 CompilationSession` — there is no second hand-rolled pass sequence
 anywhere.
 
-Invalidation declarations, in brief:
-
-* ``essa`` splits critical edges (a CFG change) and renames every
-  value, and it computes no analysis on the way, so it preserves nothing.
-* ``standard-pipeline`` (copy propagation, constant folding, and DCE on
-  one sparse worklist) can fold a constant branch and prune unreachable
-  blocks, so it preserves only the def-use chains it maintains.
-* ``abcd`` is a pure analysis (``mutates=False``); ``pre`` appends
-  compensating checks without touching the CFG; ``check-removal`` deletes
-  check instructions without touching the CFG.
+Invalidation follows one rule: a pass declares whether it ``mutates``
+the function, and after a mutating pass the manager drops every cached
+analysis of that function.  ``abcd`` and ``store-capture`` only read the
+IR (``mutates=False``), so the dominator tree and GVN that ``abcd``
+computes are still cached when ``pre`` runs; every other pass mutates.
 
 Transformation functions are looked up through their defining modules at
 call time (``opt.optimize_worklist``, not a captured reference) so the
@@ -32,17 +27,12 @@ from repro.core.abcd import ABCDConfig
 from repro.ir.function import Function
 from repro.passes.manager import Pass, PassContext
 
-#: Analyses that only depend on the CFG's shape, not on instruction
-#: contents or variable names.
-_CFG_SHAPE = ("domtree", "loops")
-
 
 class InlinePass(Pass):
     """Bounded function inlining (whole-program, before e-SSA)."""
 
     name = "inline"
     scope = "program"
-    preserves = ()
 
     def run(self, fn: Optional[Function], ctx: PassContext) -> int:
         from repro.opt.inline import inline_program
@@ -56,7 +46,6 @@ class EssaConstructionPass(Pass):
     (paper Section 3)."""
 
     name = "essa"
-    preserves = ()
     # Whole-program verification runs at the end of compilation; a second
     # per-function verify here would double the cost for nothing.
     verify = False
@@ -78,15 +67,12 @@ class StandardPipelinePass(Pass):
     and then revisits only transitively affected users/defs through the
     function's def-use chains, reaching the fixpoint of the dense
     ``repro.opt.run_standard_pipeline`` rounds in a single invocation.
-
-    Declares ``uses`` preserved: all mutation goes through the
-    chain-maintaining ``Function`` mutator API, which debug mode verifies
-    with a rebuild-and-compare after every run.  CFG-shape analyses are
-    not preserved (a folded branch prunes blocks, as before).
+    All mutation goes through the chain-maintaining ``Function`` mutator
+    API, which debug mode checks with a rebuild-and-compare after every
+    run.
     """
 
     name = "standard-pipeline"
-    preserves = ("uses",)
 
     def should_run(self, fn: Function, ctx: PassContext) -> bool:
         # The suite assumes single-assignment form; a function whose e-SSA
@@ -141,7 +127,6 @@ class PreInsertionPass(Pass):
     name = "pre"
     snapshot = False
     verify = False
-    preserves = _CFG_SHAPE  # appends instructions; never touches the CFG
 
     def should_run(self, fn: Function, ctx: PassContext) -> bool:
         state = ctx.state.get(("abcd", id(fn)))
@@ -182,7 +167,6 @@ class CertifyPass(Pass):
     """
 
     name = "certify"
-    preserves = _CFG_SHAPE  # removes appended straight-line instrs only
 
     def should_run(self, fn: Function, ctx: PassContext) -> bool:
         return (
@@ -238,7 +222,6 @@ class CheckRemovalPass(Pass):
 
     name = "check-removal"
     verify = False  # verified in run(), before the records are published
-    preserves = _CFG_SHAPE  # removes straight-line instructions only
 
     def should_run(self, fn: Function, ctx: PassContext) -> bool:
         return ("abcd", id(fn)) in ctx.state

@@ -41,9 +41,9 @@ class CompilationSession:
     """Owns the analysis cache, guard, and stats of one compilation.
 
     ``strict=True`` escalates contained pass failures into
-    :class:`~repro.errors.PassGuardError`; ``debug=True`` turns on the
-    analysis manager's recompute-and-compare check of every pass's
-    ``preserves`` declaration.
+    :class:`~repro.errors.PassGuardError`; ``debug=True`` checks the
+    def-use index against a rebuild after every pass
+    (:func:`~repro.ir.verifier.verify_def_use`).
     """
 
     def __init__(

@@ -25,7 +25,6 @@ from repro.robustness.differential import (
     compare_programs,
     execute_outcome,
     gated_optimize,
-    run_corpus_differential,
 )
 from repro.robustness.guard import PassGuard
 
@@ -38,5 +37,4 @@ __all__ = [
     "compare_programs",
     "execute_outcome",
     "gated_optimize",
-    "run_corpus_differential",
 ]

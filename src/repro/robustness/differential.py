@@ -11,8 +11,7 @@ unoptimized program.  This module makes that property executable:
 * :func:`gated_optimize` is the fail-safe entry point: clone, optimize
   under pass guards, differentially execute, and **revert to the
   unoptimized program** when behavior diverges — an unsound optimization
-  can then never escape the compiler;
-* :func:`run_corpus_differential` sweeps the Figure-6 ``.mj`` corpus.
+  can then never escape the compiler.
 """
 
 from __future__ import annotations
@@ -59,6 +58,21 @@ class ExecutionOutcome:
             )
         return f"trapped {self.trap}: {self.trap_message}"
 
+    @classmethod
+    def from_trap(cls, exc: MiniJRuntimeError) -> "ExecutionOutcome":
+        """The outcome of a run that raised ``exc``; a bounds trap also
+        records which check fired and with what values."""
+        if isinstance(exc, BoundsCheckError):
+            return cls(
+                trap=type(exc).__name__,
+                trap_message=str(exc),
+                check_id=exc.check_id,
+                index=exc.index,
+                length=exc.length,
+                kind=exc.kind,
+            )
+        return cls(trap=type(exc).__name__, trap_message=str(exc))
+
 
 def execute_outcome(
     program: Program,
@@ -69,17 +83,8 @@ def execute_outcome(
     """Run ``program`` and capture its observable outcome, trap included."""
     try:
         result = run_program(program, entry, args, fuel=fuel)
-    except BoundsCheckError as exc:
-        return ExecutionOutcome(
-            trap=type(exc).__name__,
-            trap_message=str(exc),
-            check_id=exc.check_id,
-            index=exc.index,
-            length=exc.length,
-            kind=exc.kind,
-        )
     except MiniJRuntimeError as exc:
-        return ExecutionOutcome(trap=type(exc).__name__, trap_message=str(exc))
+        return ExecutionOutcome.from_trap(exc)
     return ExecutionOutcome(value=result.value)
 
 
@@ -229,54 +234,3 @@ def gated_optimize(
         differentials=differentials,
         reverted=reverted,
     )
-
-
-# ----------------------------------------------------------------------
-# Corpus sweep.
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class CorpusDifferential:
-    """Per-corpus-program differential verdict."""
-
-    name: str
-    result: DifferentialResult
-    report: ABCDReport
-
-    @property
-    def matched(self) -> bool:
-        return self.result.matched
-
-
-def run_corpus_differential(
-    config: Optional[ABCDConfig] = None,
-    pre: bool = True,
-    names: Optional[Sequence[str]] = None,
-    fuel: int = DEFAULT_FUEL,
-) -> List[CorpusDifferential]:
-    """Differentially execute every (or the named) Figure-6 corpus
-    programs, optimized vs. unoptimized."""
-    import dataclasses
-
-    from repro.bench.corpus import CORPUS
-    from repro.passes.session import CompilationSession
-    from repro.pipeline import clone_program, compile_source
-    from repro.runtime.profiler import collect_profile
-
-    verdicts = []
-    for program_def in CORPUS:
-        if names is not None and program_def.name not in names:
-            continue
-        compiled = compile_source(program_def.source())
-        cfg = dataclasses.replace(config) if config is not None else ABCDConfig()
-        if pre:
-            cfg.pre = True
-        profile = (
-            collect_profile(compiled, "main", fuel=fuel) if cfg.pre else None
-        )
-        optimized = clone_program(compiled)
-        report = CompilationSession(cfg).optimize(optimized, profile=profile)
-        result = compare_programs(compiled, optimized, "main", (), fuel)
-        verdicts.append(CorpusDifferential(program_def.name, result, report))
-    return verdicts

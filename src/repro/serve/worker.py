@@ -51,42 +51,25 @@ def _execute(program, fn: str, args, fuel: int) -> Dict[str, Any]:
     so the check/instruction counters survive a trap — a degraded
     response must report its intact checks even when the program traps.
     """
-    from repro.errors import BoundsCheckError
+    from repro.robustness.differential import ExecutionOutcome
     from repro.runtime.interpreter import Interpreter
 
     interp = Interpreter(program, fuel=fuel)
-    outcome: Dict[str, Any] = {
-        "value": None,
-        "trap": None,
-        "trap_message": "",
-        "check_id": None,
-        "index": None,
-        "length": None,
-        "kind": None,
-    }
     try:
-        result = interp.run(fn, tuple(args))
-        outcome["value"] = result.value
-    except BoundsCheckError as exc:
-        outcome.update(
-            trap=type(exc).__name__,
-            trap_message=str(exc),
-            check_id=exc.check_id,
-            index=exc.index,
-            length=exc.length,
-            kind=exc.kind,
-        )
+        outcome = ExecutionOutcome(value=interp.run(fn, tuple(args)).value)
     except MiniJRuntimeError as exc:
-        outcome.update(trap=type(exc).__name__, trap_message=str(exc))
+        outcome = ExecutionOutcome.from_trap(exc)
     stats = interp.stats
-    outcome["checks"] = {
-        "total": stats.total_checks,
-        "lower": stats.lower_checks,
-        "upper": stats.upper_checks,
-        "speculative": stats.speculative_checks,
+    return {
+        **vars(outcome),
+        "checks": {
+            "total": stats.total_checks,
+            "lower": stats.lower_checks,
+            "upper": stats.upper_checks,
+            "speculative": stats.speculative_checks,
+        },
+        "instructions": stats.instructions,
     }
-    outcome["instructions"] = stats.instructions
-    return outcome
 
 
 def _maybe_inject_chaos(

@@ -106,8 +106,11 @@ class StoreCapture:
         ``program`` fixes the function order and completeness: a function
         the capture never saw (analysis failed, e-SSA rolled back) makes
         the capture uncacheable rather than producing an entry that hides
-        the function.
+        the function.  So do certificates that expand past the load
+        ladder's bound: every load would reject and quarantine the entry.
         """
+        from repro.store.store import MAX_WITNESS_NODES
+
         if not self.cacheable:
             return None
         missing = [
@@ -115,6 +118,16 @@ class StoreCapture:
         ]
         if missing:
             self.mark_uncacheable(f"functions never captured: {missing}")
+            return None
+        expanded = sum(
+            self.table.sizes[elim.witness]
+            for elims in self.eliminations.values()
+            for elim in elims
+        )
+        if expanded > MAX_WITNESS_NODES:
+            self.mark_uncacheable(
+                f"witnesses expand past {MAX_WITNESS_NODES} nodes"
+            )
             return None
         ir = "\n\n".join(
             self.ir_by_function[name] for name in program.functions

@@ -11,13 +11,10 @@ from repro import CompilationSession, abcd, clone_program, compile_source, run
 from repro.bench.corpus import CORPUS
 from repro.cli import main
 from repro.core.abcd import ABCDConfig
-from repro.errors import AnalysisInvalidationError, PassGuardError
-from repro.ir.instructions import Jump
+from repro.errors import PassGuardError
 from repro.ir.printer import format_program
 from repro.passes import (
-    ANALYSES,
     AnalysisManager,
-    FixpointGroup,
     PASS_REGISTRY,
     Pass,
     PassContext,
@@ -125,15 +122,27 @@ class TestCompilationSession:
 
 
 class TestAnalysisCaching:
-    def test_dominance_computed_at_most_twice_per_function(self):
+    def test_dominance_computed_at_most_twice_per_function(self, monkeypatch):
         """Through the full default pipeline (e-SSA + standard opts + ABCD)
-        dominance is computed at most once per function: e-SSA
+        the cache computes dominance at most once per function: e-SSA
         construction needs none, so the ABCD passes compute the only one."""
+        from repro.analysis.dominance import DominatorTree
+
+        computed = []
+        original = DominatorTree.compute.__func__
+
+        def counting(cls, fn, *args, **kwargs):
+            computed.append(fn.name)
+            return original(cls, fn, *args, **kwargs)
+
+        monkeypatch.setattr(DominatorTree, "compute", classmethod(counting))
         session = CompilationSession()
         program = session.compile(TWO_FN_SRC)
         session.optimize(program)
+        monkeypatch.undo()
         for name in program.functions:
-            assert session.analysis.misses_for(name, "domtree") <= 1, name
+            assert computed.count(name) <= 1, name
+        assert session.analysis.misses["domtree"] == len(computed)
 
     def test_cache_hits_are_recorded(self):
         # ``augment`` looks up gvn, which computes domtree, and then
@@ -152,51 +161,16 @@ class TestAnalysisCaching:
         first = manager.get("domtree", fn)
         assert manager.get("domtree", fn) is first
         assert manager.hits["domtree"] == 1
-        manager.invalidate(fn, ("domtree",))
-        assert manager.cached("domtree", fn) is None
+        manager.invalidate(fn)
         assert manager.get("domtree", fn) is not first
-
-    def test_retain_only_keeps_declared(self):
-        manager = AnalysisManager()
-        program = compile_source(SRC)
-        fn = program.function("main")
-        manager.get("domtree", fn)
-        manager.get("gvn", fn)
-        manager.retain_only(fn, ("domtree",))
-        assert manager.cached("domtree", fn) is not None
-        assert manager.cached("gvn", fn) is None
+        assert manager.misses["domtree"] == 2
 
 
-# ----------------------------------------------------------------------
-# Satellite 4: invalidation-correctness checking (debug mode).
-# ----------------------------------------------------------------------
+class _Noop(Pass):
+    """Keeps the default ``mutates=True`` and changes nothing: the rule
+    goes by the declaration, not by what a run did."""
 
-
-class _CfgMutatingLiar(Pass):
-    """Mutates the CFG while falsely declaring it preserves dominance."""
-
-    name = "cfg-liar"
-    requires = ("domtree",)
-    preserves = ("domtree",)
-    snapshot = False
-    verify = False
-
-    def run(self, fn, ctx):
-        for label in fn.reachable_blocks():
-            block = fn.blocks[label]
-            term = block.terminator
-            if isinstance(term, Jump) and not fn.blocks[term.target].phis:
-                mid = fn.new_block("split")
-                mid.terminator = Jump(term.target)
-                term.target = mid.label
-                return 1
-        raise AssertionError("no splittable edge found")
-
-
-class _HonestNoop(Pass):
-    name = "honest-noop"
-    requires = ("domtree",)
-    preserves = ("domtree",)
+    name = "noop"
     snapshot = False
     verify = False
 
@@ -204,36 +178,75 @@ class _HonestNoop(Pass):
         return 0
 
 
-def _debug_context(program):
-    analysis = AnalysisManager(debug=True)
-    return PassContext(
-        program=program,
-        analysis=analysis,
-        guard=PassGuard(),
-        stats=SessionStats(analysis),
-    )
+class _Observer(_Noop):
+    name = "observer"
+    mutates = False
+
+
+class TestInvalidationRule:
+    """One rule: a mutating pass drops its function's analyses; a pass
+    with ``mutates=False`` keeps them."""
+
+    def _lookup_after(self, p):
+        program = compile_source(SRC)
+        fn = program.function("main")
+        analysis = AnalysisManager()
+        ctx = PassContext(
+            program=program,
+            analysis=analysis,
+            guard=PassGuard(),
+            stats=SessionStats(analysis),
+        )
+        first = analysis.get("domtree", fn)
+        PassManager(ctx).run_function_pass(p, fn)
+        return first, analysis.get("domtree", fn), analysis
+
+    def test_mutating_pass_drops_the_cache(self):
+        first, again, analysis = self._lookup_after(_Noop())
+        assert again is not first
+        assert analysis.hits.get("domtree", 0) == 0
+        assert analysis.misses["domtree"] == 2
+
+    def test_non_mutating_pass_keeps_the_cache(self):
+        first, again, analysis = self._lookup_after(_Observer())
+        assert again is first
+        assert analysis.hits["domtree"] == 1
+        assert analysis.misses["domtree"] == 1
+
+    def test_pre_reuses_the_abcd_dominator_tree(self, monkeypatch):
+        """On a PRE compile, every ``domtree`` lookup PRE makes is a hit
+        on the tree the ``abcd`` pass computed (through GVN)."""
+        import repro.core.abcd as abcd_module
+        from repro.bench.harness import run_benchmark
+
+        deltas = []
+        original = abcd_module._guarded_pre
+
+        def guarded_pre(*args, analysis=None, **kwargs):
+            def counts():
+                return (analysis.hits.get("domtree", 0),
+                        analysis.misses.get("domtree", 0))
+
+            before = counts()
+            result = original(*args, analysis=analysis, **kwargs)
+            after = counts()
+            deltas.append((after[0] - before[0], after[1] - before[1]))
+            return result
+
+        monkeypatch.setattr(abcd_module, "_guarded_pre", guarded_pre)
+        run_benchmark(next(p for p in CORPUS if p.name == "Hanoi"))
+        assert deltas and all(delta == (1, 0) for delta in deltas)
+
+
+# ----------------------------------------------------------------------
+# Debug mode: the def-use index is checked after every pass.
+# ----------------------------------------------------------------------
 
 
 class TestDebugInvalidationCheck:
-    def test_lying_pass_is_caught(self):
-        program = compile_source(SRC)
-        fn = program.function("main")
-        ctx = _debug_context(program)
-        manager = PassManager(ctx)
-        with pytest.raises(AnalysisInvalidationError, match="cfg-liar"):
-            manager.run_function_pass(_CfgMutatingLiar(), fn)
-        # The stale entry was dropped: the next get recomputes cleanly.
-        assert ctx.analysis.cached("domtree", fn) is None
-
-    def test_honest_pass_passes(self):
-        program = compile_source(SRC)
-        fn = program.function("main")
-        manager = PassManager(_debug_context(program))
-        assert manager.run_function_pass(_HonestNoop(), fn) == 0
-
     def test_debug_session_runs_default_pipeline_clean(self):
-        """Every registered pass's ``preserves`` declaration survives the
-        recompute-and-compare check over a real program."""
+        """Every registered pass leaves a def-use index that matches a
+        rebuild (debug mode checks it after each pass)."""
         session = CompilationSession(debug=True)
         program = session.compile(TWO_FN_SRC)
         report = session.optimize(program)
@@ -242,9 +255,9 @@ class TestDebugInvalidationCheck:
 
     @pytest.mark.parametrize("inline", [False, True])
     def test_debug_session_runs_corpus_clean(self, inline):
-        """The ``preserves`` declarations and the def-use index that e-SSA
-        construction leaves hold over the whole corpus, certified, with
-        and without inlining."""
+        """The def-use index that e-SSA construction builds and every later
+        pass maintains matches a rebuild over the whole corpus, certified,
+        with and without inlining."""
         for program in CORPUS:
             source = program.source()
             debug = CompilationSession(config=ABCDConfig(certify=True), debug=True)
@@ -275,8 +288,6 @@ class TestRegistry:
         }
         for name, p in PASS_REGISTRY.items():
             assert p.name == name
-            assert isinstance(p.preserves, tuple)
-            assert all(analysis in ANALYSES for analysis in p.preserves)
 
     def test_default_compile_passes_shapes(self):
         names = [
@@ -293,18 +304,6 @@ class TestRegistry:
             "certify",
             "check-removal",
         ]
-
-    def test_fixpoint_group_preserves_is_member_intersection(self):
-        def stub(preserves):
-            member = Pass()
-            member.preserves = preserves
-            return member
-
-        cfg_shape = ("domtree", "loops")
-        group = FixpointGroup("g", [stub(cfg_shape), stub(cfg_shape + ("uses",))])
-        assert group.preserves == ("domtree", "loops")
-        with_folding = FixpointGroup("g2", [stub(cfg_shape), stub(())])
-        assert with_folding.preserves == ()
 
 
 # ----------------------------------------------------------------------

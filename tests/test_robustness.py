@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import repro.core.solver as solver_module
-from repro.core.abcd import ABCDConfig, PassFailure
+from repro.core.abcd import ABCDConfig
 from repro.core.graph import InequalityGraph, len_node, var_node
 from repro.core.lattice import ProofResult
 from repro.core.solver import DemandProver
@@ -282,17 +282,6 @@ class TestPassGuard:
         assert report.rollback_count == 1
         assert report.rollbacks_by_pass() == {"abcd": 1}
         assert run(program, "main").value == 28
-
-    def test_report_merge_carries_failures(self):
-        from repro.core.abcd import ABCDReport
-
-        first = ABCDReport()
-        first.pass_failures.append(
-            PassFailure("abcd", "f", "exception", "RuntimeError", "x")
-        )
-        second = ABCDReport()
-        second.merge(first)
-        assert second.rollback_count == 1
 
 
 class TestDifferentialGate:

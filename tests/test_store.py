@@ -4,10 +4,10 @@ Covers the cache-key contract (what must hit, what must miss), the
 atomic write protocol and its crash recovery, the zero-trust load ladder
 rung by rung, every registered disk fault's exact containment, forged
 witness tables (each must stop at the ``certificate`` rung), the
-table's round trip, the byte-identity guarantee (a hit's program is
-byte-identical to a fresh certified compile), the "no load without a
-passing re-check" invariant, and a property sweep over fuzz-generated
-programs.
+table's round trip, the refusal of a capture past the load bound, the
+byte-identity guarantee (a hit's program is byte-identical to a fresh
+certified compile), the "no load without a passing re-check" invariant,
+and a property sweep over fuzz-generated programs.
 """
 
 from __future__ import annotations
@@ -671,9 +671,10 @@ class TestTableRoundTrip:
             return  # uncacheable: nothing is stored
         originals = {(a.function, a.check_id): a.witness for a in report.analyses}
         payload = json.loads(json.dumps(entry_payload(entry)))
-        nodes, witnesses, _ = decode_witness_table(
+        nodes, witnesses, sizes = decode_witness_table(
             payload["vertices"], payload["witnesses"]
         )
+        assert sizes == capture.table.sizes
         tree_nodes = 0
         for function, elims in entry.eliminations.items():
             for elim in elims:
@@ -683,6 +684,48 @@ class TestTableRoundTrip:
                 assert nodes[elim.target] == decoded.vertex
                 tree_nodes += self.tree_nodes(original)
         assert len(payload["witnesses"]) <= tree_nodes
+
+
+class TestOversizedCapture:
+    """A capture whose certificates expand past the load ladder's bound
+    is refused at capture time: storing it would only make every load
+    reject and quarantine it, and every request compile it again."""
+
+    BOUND = 4
+
+    @pytest.fixture
+    def small_bound(self, monkeypatch):
+        import repro.store.store as store_module
+
+        monkeypatch.setattr(store_module, "MAX_WITNESS_NODES", self.BOUND)
+
+    def test_cached_compile_stays_unstored(self, tmp_path, small_bound):
+        store = store_at(tmp_path)
+        source = next(p for p in CORPUS if p.name == "Sieve").source()
+        for _ in range(2):
+            outcome = cached_optimize_source(store, source)
+            assert outcome.status == "miss-unstored"
+            assert outcome.unstored_reason == (
+                f"witnesses expand past {self.BOUND} nodes"
+            )
+        assert store.counters.get("store.puts", 0) == 0
+        assert not any(name.startswith("store.quarantined")
+                       for name in store.counters)
+        assert list(store.iter_fingerprints()) == []
+
+    def test_serve_capture_answers_uncacheable(self, small_bound):
+        from repro.serve.worker import _serve_request
+
+        response = _serve_request(
+            {"op": "compile", "id": "a", "source": SUM_SOURCE,
+             "cache": "capture", "fingerprint": "ab" * 32},
+            None, False, 0,
+        )
+        assert response["status"] == "ok"
+        assert "store_entry" not in response
+        assert response["store_uncacheable"] == (
+            f"witnesses expand past {self.BOUND} nodes"
+        )
 
 
 # ----------------------------------------------------------------------
