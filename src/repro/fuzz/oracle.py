@@ -16,7 +16,8 @@ Outcomes are classified into:
 ``value-divergence``     both returned, different values;
 ``trap-divergence``      a trap fired on one side only, or a different
                          trap/check on each side — the CHOP failure class;
-``codegen-divergence``   interpreter and generated code disagree;
+``codegen-divergence``   interpreter and generated code disagree on the
+                         outcome or on a counter of the run;
 ``crash``                an internal (non-:class:`ReproError`) exception
                          escaped compile or execution;
 ``rejected``             the frontend refused the generated program with a
@@ -53,7 +54,24 @@ from repro.limits import hard_deadline
 _RESOURCE_TRAPS = (TrapLimitExceeded.__name__, CallDepthExceeded.__name__)
 from repro.fuzz.triage import Signature, innermost_repro_frame
 from repro.passes.session import CompilationSession
-from repro.robustness.differential import ExecutionOutcome, execute_outcome
+from repro.robustness.differential import (
+    ExecutionOutcome,
+    execute_counted,
+    execute_outcome,
+)
+
+#: Counters the generated code must leave exactly as the interpreter does,
+#: on a completed run and at a trap.
+CODEGEN_COUNTERS = (
+    "instructions",
+    "cycles",
+    "lower_checks",
+    "upper_checks",
+    "unsigned_checks",
+    "speculative_checks",
+    "speculation_failures",
+    "check_counts",
+)
 
 #: Default interpreter fuel per side.  Generated loops are counted and
 #: shallow, so honest programs finish far below this; a fuel race between
@@ -221,7 +239,9 @@ def _check_source(source: str, config: OracleConfig) -> OracleVerdict:
     except Exception as exc:
         return _crash_verdict(exc, "run-base")
     try:
-        opt_outcome = execute_outcome(optimized_program, "main", (), config.fuel)
+        opt_outcome, opt_stats = execute_counted(
+            optimized_program, "main", (), config.fuel
+        )
     except Exception as exc:
         return _crash_verdict(exc, "run-optimized")
     verdict.base = base_outcome
@@ -246,7 +266,7 @@ def _check_source(source: str, config: OracleConfig) -> OracleVerdict:
 
     # --- Optional third backend: generated Python code. ----------------
     if config.codegen:
-        codegen_verdict = _check_codegen(optimized_program, opt_outcome)
+        codegen_verdict = _check_codegen(optimized_program, opt_outcome, opt_stats)
         if codegen_verdict is not None:
             return codegen_verdict
 
@@ -254,10 +274,10 @@ def _check_source(source: str, config: OracleConfig) -> OracleVerdict:
 
 
 def _check_codegen(
-    optimized_program, opt_outcome: ExecutionOutcome
+    optimized_program, opt_outcome: ExecutionOutcome, opt_stats
 ) -> Optional[OracleVerdict]:
-    """Compare the interpreter's outcome against compiled-to-Python
-    execution of the same optimized program."""
+    """Compare the interpreter's outcome and counters against
+    compiled-to-Python execution of the same optimized program."""
     from repro.errors import MiniJRuntimeError
     from repro.runtime.codegen import compile_to_python
 
@@ -271,16 +291,30 @@ def _check_codegen(
     except Exception as exc:
         return _crash_verdict(exc, "codegen")
 
-    if outcomes_equivalent(opt_outcome, gen_outcome):
-        return None
-    tags = f"{_outcome_tag(opt_outcome)}->{_outcome_tag(gen_outcome)}"
+    if not outcomes_equivalent(opt_outcome, gen_outcome):
+        tags = f"{_outcome_tag(opt_outcome)}->{_outcome_tag(gen_outcome)}"
+        detail = (
+            f"interpreter {opt_outcome.describe()}; "
+            f"generated code {gen_outcome.describe()}"
+        )
+    else:
+        moved = [
+            name
+            for name in CODEGEN_COUNTERS
+            if getattr(opt_stats, name) != getattr(compiled.stats, name)
+        ]
+        if not moved:
+            return None
+        tags = "counters:" + ",".join(moved)
+        detail = f"{opt_outcome.describe()} on both; " + "; ".join(
+            f"{name}: interpreter {getattr(opt_stats, name)}, "
+            f"generated code {getattr(compiled.stats, name)}"
+            for name in moved
+        )
     return OracleVerdict(
         classification="codegen-divergence",
         signature=Signature(kind="codegen-divergence", error=tags),
-        detail=(
-            f"interpreter {opt_outcome.describe()}; "
-            f"generated code {gen_outcome.describe()}"
-        ),
+        detail=detail,
         base=opt_outcome,
         optimized=gen_outcome,
     )

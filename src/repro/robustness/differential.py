@@ -6,7 +6,8 @@ check (same ``check_id``), and raise the same runtime error class as the
 unoptimized program.  This module makes that property executable:
 
 * :func:`execute_outcome` runs one program and captures its observable
-  outcome (value or trap) in a comparable record;
+  outcome (value or trap) in a comparable record; :func:`execute_counted`
+  also returns the run's counters;
 * :func:`compare_programs` runs base and optimized side by side;
 * :func:`gated_optimize` is the fail-safe entry point: clone, optimize
   under pass guards, differentially execute, and **revert to the
@@ -17,12 +18,12 @@ unoptimized program.  This module makes that property executable:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.abcd import ABCDConfig, ABCDReport, PassFailure
 from repro.errors import BoundsCheckError, MiniJRuntimeError, SoundnessGateError
 from repro.ir.function import Program
-from repro.runtime.interpreter import run_program
+from repro.runtime.interpreter import ExecutionStats, Interpreter
 from repro.runtime.profiler import Profile
 
 #: Differential runs get a bounded fuel so a corrupted optimization that
@@ -74,6 +75,22 @@ class ExecutionOutcome:
         return cls(trap=type(exc).__name__, trap_message=str(exc))
 
 
+def execute_counted(
+    program: Program,
+    entry: str = "main",
+    args: Sequence = (),
+    fuel: int = DEFAULT_FUEL,
+) -> Tuple[ExecutionOutcome, ExecutionStats]:
+    """Run ``program``: its observable outcome, trap included, and the
+    run's counters, which survive a trap."""
+    interp = Interpreter(program, fuel=fuel)
+    try:
+        outcome = ExecutionOutcome(value=interp.run(entry, args).value)
+    except MiniJRuntimeError as exc:
+        outcome = ExecutionOutcome.from_trap(exc)
+    return outcome, interp.stats
+
+
 def execute_outcome(
     program: Program,
     entry: str = "main",
@@ -81,11 +98,7 @@ def execute_outcome(
     fuel: int = DEFAULT_FUEL,
 ) -> ExecutionOutcome:
     """Run ``program`` and capture its observable outcome, trap included."""
-    try:
-        result = run_program(program, entry, args, fuel=fuel)
-    except MiniJRuntimeError as exc:
-        return ExecutionOutcome.from_trap(exc)
-    return ExecutionOutcome(value=result.value)
+    return execute_counted(program, entry, args, fuel)[0]
 
 
 @dataclass

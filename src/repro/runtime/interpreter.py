@@ -23,16 +23,23 @@ the incoming edge taken, πs are copies.
 
 Dispatch is decided once per run, not once per executed instruction: the
 first time a run reaches a block, the block is decoded into a φ plan per
-incoming edge, a tuple of per-instruction closures (operands, costs, check
-ids and error text bound in) and a terminator record; the block loop then
-only calls those closures.  The decoded code lives for one :meth:`run`
-(DESIGN.md, "VM dispatch").
+incoming edge, a tuple of closures (operands, check ids and error text
+bound in) and a terminator record; the block loop then only calls those
+closures.  Counting is decided the same way.  ``instructions`` and
+``cycles`` are fixed for each straight-line segment of a block (the body
+cut after each call, the φs in the first segment), so a call charges the
+segment it ends, the block loop charges the last one with the
+terminator, and a closure charges its segment's prefix only when it
+traps.  A run of πs is one closure, and a compare whose result is the
+block's branch condition is fused into the terminator.  The decoded code
+lives for one :meth:`run` (DESIGN.md, "VM dispatch").
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
@@ -59,7 +66,6 @@ from repro.ir.instructions import (
     Copy,
     Jump,
     Operand,
-    Phi,
     Pi,
     Return,
     SpeculativeCheck,
@@ -137,8 +143,9 @@ class ExecutionResult:
 #: speculation guard flags.
 Op = Callable[[Dict[str, Value], Dict[int, bool]], None]
 
-#: Terminator kinds of a decoded block.
-_JUMP, _BRANCH, _RETURN, _BAD = range(4)
+#: Terminator kinds of a decoded block; ``_TEST`` is a compare fused with
+#: the branch on its result.
+_JUMP, _TEST, _BRANCH, _RETURN, _BAD = range(5)
 
 _ARITH = {
     "add": operator.add,
@@ -167,6 +174,17 @@ def _operand(operand: Operand) -> Tuple[Optional[str], Optional[Value]]:
 
 def _unset(exc: KeyError) -> MiniJRuntimeError:
     return MiniJRuntimeError(f"read of unset variable {exc.args[0]!r}")
+
+
+def _charged(
+    stats: ExecutionStats, count: int, cycles: int, exc: BaseException
+) -> BaseException:
+    """Charge what a trapping closure owes (its segment prefix and what
+    its instruction had charged when it failed); return what to raise:
+    the unset-variable error for a failed read, else ``exc`` itself."""
+    stats.instructions += count
+    stats.cycles += cycles
+    return _unset(exc) if isinstance(exc, KeyError) else exc
 
 
 def _not_array(name: Optional[str], value: object) -> MiniJRuntimeError:
@@ -243,10 +261,12 @@ class Interpreter:
 
         while True:
             try:
-                phis, ops, kind, cost, a, b, c = code[label]
+                phis, ops, kind, count, cycles, a, b, c = code[label]
             except KeyError:
                 block = fn.blocks[label]
-                phis, ops, kind, cost, a, b, c = code[label] = self._decode(fn, block)
+                phis, ops, kind, count, cycles, a, b, c = code[label] = self._decode(
+                    fn, block
+                )
             if profile:
                 key = (fn.name, label)
                 stats.block_counts[key] = stats.block_counts.get(key, 0) + 1
@@ -259,16 +279,33 @@ class Interpreter:
                     assign = phis[came_from]
                 except KeyError:
                     assign = phis[came_from] = self._phi_plan(
-                        fn.blocks[label].phis, came_from
+                        fn.blocks[label], came_from
                     )
                 assign(env)
 
             for op in ops:
                 op(env, guards)
 
-            stats.instructions += 1
-            stats.cycles += cost
-            if kind == _JUMP:
+            # The block's last segment and its terminator, charged before
+            # the terminator reads its operand.
+            stats.instructions += count
+            stats.cycles += cycles
+            if kind == _TEST:
+                dest, lhs, lhs_value, rhs, rhs_value, compare, branch_cost = a
+                try:
+                    x = env[lhs] if lhs is not None else lhs_value
+                    y = env[rhs] if rhs is not None else rhs_value
+                    cond = compare(x, y)
+                except BaseException as exc:
+                    # The compare trapped; the branch never ran.
+                    raise _charged(stats, -1, -branch_cost, exc) from None
+                if cond:
+                    env[dest] = 1
+                    came_from, label = label, b
+                else:
+                    env[dest] = 0
+                    came_from, label = label, c
+            elif kind == _JUMP:
                 came_from, label = label, a
             elif kind == _BRANCH:
                 try:
@@ -296,54 +333,114 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def _decode(self, fn: Function, block: BasicBlock) -> tuple:
-        """``(φ plans, ops, terminator kind, cost, a, b, c)`` of ``block``.
+        """``(φ plans, ops, terminator kind, count, cycles, a, b, c)`` of
+        ``block``.
+
+        The body is cut after each call into straight-line segments; the
+        φs belong to the first.  ``count``/``cycles`` are what the last
+        segment and the terminator charge unconditionally; every other
+        segment is charged by the call that ends it.  A closure is told
+        what its segment charged before it (its prefix) and charges that
+        only if it traps.  A run of πs decodes to one op.
 
         The φ plans start empty and fill per incoming edge as the run
         takes it; ``None`` when the block has no φs.  For a jump ``a`` is
         the target; for a branch ``a`` names the condition and ``b``/``c``
-        are the targets; a return reads variable ``a``, or returns the
+        are the targets; a test (a compare that is the body's last
+        instruction, fused with the branch on its result) packs the
+        compare into ``a``; a return reads variable ``a``, or returns the
         constant ``b`` when ``a`` is ``None``.
         """
-        phis = {} if block.phis else None
-        ops = tuple(self._decode_instr(fn, instr) for instr in block.body)
+        phis = None
+        count = cycles = 0
+        if block.phis:
+            phis = {}
+            count = len({phi.dest for phi in block.phis})
+            cycles = count * DEFAULT_COSTS["phi"]
+        body = block.body
         term = block.terminator
+        test = None
+        if (
+            isinstance(term, Branch)
+            and isinstance(term.cond, Var)
+            and body
+            and isinstance(body[-1], Cmp)
+            and body[-1].dest == term.cond.name
+        ):
+            test = body[-1]
+            body = body[:-1]
+
+        ops = []
+        for kind, run in groupby(body, type):
+            if kind is Pi:
+                pis = list(run)
+                ops.append(self._decode_pis(pis, count, cycles))
+                count += len(pis)
+                cycles += len(pis) * DEFAULT_COSTS["pi"]
+                continue
+            for instr in run:
+                op, cost = self._decode_instr(fn, instr, count, cycles)
+                ops.append(op)
+                if kind is Call:
+                    count = cycles = 0
+                else:
+                    count += 1
+                    cycles += cost
+        ops = tuple(ops)
+
+        if test is not None:
+            lhs, lhs_value = _operand(test.lhs)
+            rhs, rhs_value = _operand(test.rhs)
+            compare = _CMP.get(test.op, operator.ne)
+            branch_cost = DEFAULT_COSTS["branch"]
+            count += 2
+            cycles += DEFAULT_COSTS["cmp"] + branch_cost
+            a = (test.dest, lhs, lhs_value, rhs, rhs_value, compare, branch_cost)
+            return phis, ops, _TEST, count, cycles, a, term.true_target, term.false_target
+        count += 1
         if isinstance(term, Jump):
-            return phis, ops, _JUMP, DEFAULT_COSTS["jump"], term.target, None, None
+            cycles += DEFAULT_COSTS["jump"]
+            return phis, ops, _JUMP, count, cycles, term.target, None, None
         if isinstance(term, Branch):
-            cost = DEFAULT_COSTS["branch"]
+            cycles += DEFAULT_COSTS["branch"]
             name, value = _operand(term.cond)
             if name is None:
                 taken = term.true_target if value != 0 else term.false_target
-                return phis, ops, _JUMP, cost, taken, None, None
-            return phis, ops, _BRANCH, cost, name, term.true_target, term.false_target
+                return phis, ops, _JUMP, count, cycles, taken, None, None
+            return (phis, ops, _BRANCH, count, cycles, name,
+                    term.true_target, term.false_target)
         if isinstance(term, Return):
+            cycles += DEFAULT_COSTS["return"]
             name, value = (None, None) if term.value is None else _operand(term.value)
-            return phis, ops, _RETURN, DEFAULT_COSTS["return"], name, value, None
+            return phis, ops, _RETURN, count, cycles, name, value, None
         # Charges the instruction, no cycles, then traps.
-        return phis, ops, _BAD, 0, f"bad terminator {term}", None, None
+        return phis, ops, _BAD, count, cycles, f"bad terminator {term}", None, None
 
-    def _phi_plan(self, phis: List[Phi], pred: Optional[str]) -> Callable:
-        """The φ moves of the edge ``pred`` → this block.  φs read their
+    def _phi_plan(self, block: BasicBlock, pred: Optional[str]) -> Callable:
+        """The φ moves of the edge ``pred`` → ``block``.  φs read their
         operands for ``pred`` in order, then write all destinations at
         once; the moves run one by one when no φ reads a destination
-        written before it, which is what the parallel copy would do."""
-        assert pred is not None, "φ in entry block"
-        stats = self.stats
+        written before it, which is what the parallel copy would do.
+        The block's first segment charges the φs."""
+        phis = block.phis
         moves = []
         written = set()
         sequential = True
+        missing = None
         for phi in phis:
             if pred not in phi.incomings:
-                # Read the φs before it, then fail as the lookup would.
+                # Read the φs before it, then trap.
+                source = "the function entry" if pred is None else repr(pred)
+                missing = (
+                    f"φ {phi.dest} in block {block.label!r} has no incoming "
+                    f"value from {source}"
+                )
                 sequential = False
                 break
             name, value = _operand(phi.incomings[pred])
             sequential = sequential and name not in written
             written.add(phi.dest)
             moves.append((phi.dest, name, value))
-        missing = len(moves) < len(phis)
-        count = len({phi.dest for phi in phis})
-        cycles = count * DEFAULT_COSTS["phi"]
 
         if sequential:
 
@@ -353,8 +450,6 @@ class Interpreter:
                         env[dest] = env[name] if name is not None else value
                 except KeyError as exc:
                     raise _unset(exc) from None
-                stats.instructions += count
-                stats.cycles += cycles
 
             return assign
 
@@ -365,17 +460,63 @@ class Interpreter:
                 values = [env[n] if n is not None else v for _, n, v in moves]
             except KeyError as exc:
                 raise _unset(exc) from None
-            if missing:
-                raise KeyError(pred)
+            if missing is not None:
+                raise MiniJRuntimeError(missing)
             env.update(zip(dests, values))
-            stats.instructions += count
-            stats.cycles += cycles
 
         return assign
 
-    def _decode_instr(self, fn: Function, instr) -> Op:
-        """One closure per instruction.  Each keeps the order of its
-        counter increments, operand reads and traps: a run that traps
+    def _decode_pis(self, pis: List[Pi], count: int, cycles: int) -> Op:
+        """A run of πs (copies) as one op; most runs have one or two.  If
+        the k-th π reads an unset variable, the run charges its prefix
+        and the first k πs."""
+        stats = self.stats
+        moves = tuple((pi.dest, pi.src) for pi in pis)
+        sources = [src for _, src in moves]
+        cost = DEFAULT_COSTS["pi"]
+
+        def trap(exc):
+            done = sources.index(exc.args[0]) + 1
+            return _charged(stats, count + done, cycles + done * cost, exc)
+
+        if len(moves) == 1:
+            ((dest, src),) = moves
+
+            def op(env, guards):
+                try:
+                    env[dest] = env[src]
+                except KeyError as exc:
+                    raise trap(exc) from None
+
+            return op
+
+        if len(moves) == 2:
+            (dest1, src1), (dest2, src2) = moves
+
+            def op(env, guards):
+                try:
+                    env[dest1] = env[src1]
+                    env[dest2] = env[src2]
+                except KeyError as exc:
+                    raise trap(exc) from None
+
+            return op
+
+        def op(env, guards):
+            try:
+                for dest, src in moves:
+                    env[dest] = env[src]
+            except KeyError as exc:
+                raise trap(exc) from None
+
+        return op
+
+    def _decode_instr(self, fn: Function, instr, count: int, cycles: int) -> Tuple[Op, int]:
+        """``(closure, cycles charged unconditionally)`` of one body
+        instruction.  ``count``/``cycles`` is its segment's prefix.  The
+        closure does only what can vary (a check's counters, a guarded
+        check's cost); if it traps, it first charges its prefix plus what
+        executing it alone charged up to that point, so a run that traps
         leaves the same counters behind as it always has."""
         stats = self.stats
         counts = stats.check_counts
@@ -384,16 +525,20 @@ class Interpreter:
             dest = instr.dest
             src, value = _operand(instr.src)
             cost = DEFAULT_COSTS["copy"]
+            if src is None:
+
+                def op(env, guards):
+                    env[dest] = value
+
+                return op, cost
 
             def op(env, guards):
-                stats.instructions += 1
-                stats.cycles += cost
                 try:
-                    env[dest] = env[src] if src is not None else value
+                    env[dest] = env[src]
                 except KeyError as exc:
-                    raise _unset(exc) from None
+                    raise _charged(stats, count + 1, cycles + cost, exc) from None
 
-            return op
+            return op, cost
 
         if isinstance(instr, BinOp):
             dest = instr.dest
@@ -410,16 +555,18 @@ class Interpreter:
                     raise MiniJRuntimeError(bad)
 
             def op(env, guards):
-                stats.instructions += 1
                 try:
                     x = env[lhs] if lhs is not None else lhs_value
                     y = env[rhs] if rhs is not None else rhs_value
                 except KeyError as exc:
-                    raise _unset(exc) from None
-                stats.cycles += cost
-                env[dest] = apply(x, y)
+                    # A failed read charges the instruction, no cycles.
+                    raise _charged(stats, count + 1, cycles, exc) from None
+                try:
+                    env[dest] = apply(x, y)
+                except BaseException as exc:
+                    raise _charged(stats, count + 1, cycles + cost, exc) from None
 
-            return op
+            return op, cost
 
         if isinstance(instr, Cmp):
             dest = instr.dest
@@ -429,19 +576,17 @@ class Interpreter:
             cost = DEFAULT_COSTS["cmp"]
 
             def op(env, guards):
-                stats.instructions += 1
-                stats.cycles += cost
                 try:
                     x = env[lhs] if lhs is not None else lhs_value
                     y = env[rhs] if rhs is not None else rhs_value
-                except KeyError as exc:
-                    raise _unset(exc) from None
-                env[dest] = 1 if compare(x, y) else 0
+                    env[dest] = 1 if compare(x, y) else 0
+                except BaseException as exc:
+                    raise _charged(stats, count + 1, cycles + cost, exc) from None
 
-            return op
+            return op, cost
 
         if isinstance(instr, (CheckLower, CheckUpper, CheckUnsigned)):
-            return self._decode_check(instr)
+            return self._decode_check(instr, count, cycles)
 
         if isinstance(instr, SpeculativeCheck):
             index, index_value = _operand(instr.index)
@@ -452,29 +597,27 @@ class Interpreter:
             cost = DEFAULT_COSTS["checkupper" if upper else "checklower"]
 
             def op(env, guards):
-                stats.instructions += 1
-                stats.cycles += cost
                 stats.speculative_checks += 1
                 counts[check_id] = counts.get(check_id, 0) + 1
                 try:
                     i = env[index] if index is not None else index_value
-                except KeyError as exc:
-                    raise _unset(exc) from None
-                if upper:
-                    target = env.get(array)
-                    if not isinstance(target, ArrayValue):
-                        raise _not_array(array, target)
-                    failed = i >= len(target.data)
-                else:
-                    failed = i < 0
+                    if upper:
+                        target = env.get(array)
+                        if not isinstance(target, ArrayValue):
+                            raise _not_array(array, target)
+                        failed = i >= len(target.data)
+                    else:
+                        failed = i < 0
+                except BaseException as exc:
+                    raise _charged(stats, count + 1, cycles + cost, exc) from None
                 if failed:
                     guards[group] = True
                     stats.speculation_failures += 1
 
-            return op
+            return op, cost
 
         if isinstance(instr, (ArrayLoad, ArrayStore)):
-            return self._decode_access(fn, instr)
+            return self._decode_access(fn, instr, count, cycles)
 
         if isinstance(instr, ArrayLen):
             dest = instr.dest
@@ -482,14 +625,13 @@ class Interpreter:
             cost = DEFAULT_COSTS["arraylen"]
 
             def op(env, guards):
-                stats.instructions += 1
-                stats.cycles += cost
                 target = env.get(array)
                 if not isinstance(target, ArrayValue):
-                    raise _not_array(array, target)
+                    exc = _not_array(array, target)
+                    raise _charged(stats, count + 1, cycles + cost, exc)
                 env[dest] = len(target.data)
 
-            return op
+            return op, cost
 
         if isinstance(instr, ArrayNew):
             dest = instr.dest
@@ -497,106 +639,93 @@ class Interpreter:
             cost = DEFAULT_COSTS["arraynew"]
 
             def op(env, guards):
-                stats.instructions += 1
-                stats.cycles += cost
                 try:
                     n = env[length] if length is not None else length_value
-                except KeyError as exc:
-                    raise _unset(exc) from None
-                env[dest] = ArrayValue(n)
+                    env[dest] = ArrayValue(n)
+                except BaseException as exc:
+                    raise _charged(stats, count + 1, cycles + cost, exc) from None
 
-            return op
+            return op, cost
 
         if isinstance(instr, Call):
-            return self._decode_call(instr)
-
-        if isinstance(instr, Pi):
-            dest = instr.dest
-            src = instr.src
-            cost = DEFAULT_COSTS["pi"]
-
-            def op(env, guards):
-                stats.instructions += 1
-                stats.cycles += cost
-                env[dest] = env[src]
-
-            return op
+            return self._decode_call(instr, count, cycles)
 
         message = f"cannot execute {instr}"
 
         def op(env, guards):
-            stats.instructions += 1
-            raise MiniJRuntimeError(message)
+            raise _charged(stats, count + 1, cycles, MiniJRuntimeError(message))
 
-        return op
+        return op, 0
 
-    def _decode_check(self, instr) -> Op:
+    def _decode_check(self, instr, count: int, cycles: int) -> Tuple[Op, int]:
         """A lower, upper or merged unsigned check.  A guarded check pays
-        the guard test and runs only while its speculation flag is up."""
+        the guard test unconditionally, and its check cost only while its
+        speculation flag is up."""
         stats = self.stats
         counts = stats.check_counts
         index, index_value = _operand(instr.index)
         group = instr.guard_group
-        guard_cost = DEFAULT_COSTS["guard_test"]
+        array = getattr(instr, "array", None)
+        if isinstance(instr, CheckLower):
+            cost = DEFAULT_COSTS["checklower"]
+        elif isinstance(instr, CheckUpper):
+            cost = DEFAULT_COSTS["checkupper"]
+        else:
+            cost = DEFAULT_COSTS["checkunsigned"]
+        guarded = group is not None
+        # A guarded check's segment pays its guard test; an unguarded
+        # check's pays the check.
+        charged = DEFAULT_COSTS["guard_test"] if guarded else cost
+        trap_count, trap_cycles = count + 1, cycles + charged
 
         if isinstance(instr, CheckLower):
             check_id = instr.check_id
-            cost = DEFAULT_COSTS["checklower"]
 
             def op(env, guards):
-                stats.instructions += 1
-                if group is not None:
-                    stats.cycles += guard_cost
+                if guarded:
                     if not guards.get(group, False):
                         return
-                stats.cycles += cost
+                    stats.cycles += cost
                 stats.lower_checks += 1
                 counts[check_id] = counts.get(check_id, 0) + 1
                 try:
                     i = env[index] if index is not None else index_value
-                except KeyError as exc:
-                    raise _unset(exc) from None
-                if i < 0:
-                    raise BoundsCheckError(check_id, i, -1, "lower")
+                    if i < 0:
+                        raise BoundsCheckError(check_id, i, -1, "lower")
+                except BaseException as exc:
+                    raise _charged(stats, trap_count, trap_cycles, exc) from None
 
-            return op
+            return op, charged
 
-        array = instr.array
         if isinstance(instr, CheckUpper):
             check_id = instr.check_id
-            cost = DEFAULT_COSTS["checkupper"]
 
             def op(env, guards):
-                stats.instructions += 1
-                if group is not None:
-                    stats.cycles += guard_cost
+                if guarded:
                     if not guards.get(group, False):
                         return
-                stats.cycles += cost
+                    stats.cycles += cost
                 stats.upper_checks += 1
                 counts[check_id] = counts.get(check_id, 0) + 1
                 try:
                     i = env[index] if index is not None else index_value
-                except KeyError as exc:
-                    raise _unset(exc) from None
-                target = env.get(array)
-                if not isinstance(target, ArrayValue):
-                    raise _not_array(array, target)
-                if i >= len(target.data):
-                    raise BoundsCheckError(check_id, i, len(target.data), "upper")
+                    target = env.get(array)
+                    if not isinstance(target, ArrayValue):
+                        raise _not_array(array, target)
+                    if i >= len(target.data):
+                        raise BoundsCheckError(check_id, i, len(target.data), "upper")
+                except BaseException as exc:
+                    raise _charged(stats, trap_count, trap_cycles, exc) from None
 
-            return op
+            return op, charged
 
         lower_id, upper_id = instr.lower_id, instr.upper_id
-        cost = DEFAULT_COSTS["checkunsigned"]
 
         def op(env, guards):
-            stats.instructions += 1
-            if group is not None:
-                stats.cycles += guard_cost
+            if guarded:
                 if not guards.get(group, False):
                     return
-            stats.cycles += cost
+                stats.cycles += cost
             stats.unsigned_checks += 1
             stats.lower_checks += 1
             stats.upper_checks += 1
@@ -604,22 +733,22 @@ class Interpreter:
             counts[upper_id] = counts.get(upper_id, 0) + 1
             try:
                 i = env[index] if index is not None else index_value
-            except KeyError as exc:
-                raise _unset(exc) from None
-            target = env.get(array)
-            if not isinstance(target, ArrayValue):
-                raise _not_array(array, target)
-            # The unsigned trick: a negative index, viewed unsigned, always
-            # exceeds the length; report it as the lower-bound failure the
-            # unmerged program would raise.
-            if i < 0:
-                raise BoundsCheckError(lower_id, i, len(target.data), "lower")
-            if i >= len(target.data):
-                raise BoundsCheckError(upper_id, i, len(target.data), "upper")
+                target = env.get(array)
+                if not isinstance(target, ArrayValue):
+                    raise _not_array(array, target)
+                # The unsigned trick: a negative index, viewed unsigned,
+                # always exceeds the length; report it as the lower-bound
+                # failure the unmerged program would raise.
+                if i < 0:
+                    raise BoundsCheckError(lower_id, i, len(target.data), "lower")
+                if i >= len(target.data):
+                    raise BoundsCheckError(upper_id, i, len(target.data), "upper")
+            except BaseException as exc:
+                raise _charged(stats, trap_count, trap_cycles, exc) from None
 
-        return op
+        return op, charged
 
-    def _decode_access(self, fn: Function, instr) -> Op:
+    def _decode_access(self, fn: Function, instr, count: int, cycles: int) -> Tuple[Op, int]:
         """An unchecked load or store.  Out of range it is only reachable
         if an optimizer wrongly removed a needed check: fail loudly."""
         stats = self.stats
@@ -632,54 +761,49 @@ class Interpreter:
             cost = DEFAULT_COSTS["arrayload"]
 
             def op(env, guards):
-                stats.instructions += 1
-                stats.cycles += cost
-                target = env.get(array)
-                if not isinstance(target, ArrayValue):
-                    raise _not_array(array, target)
                 try:
+                    target = env.get(array)
+                    if not isinstance(target, ArrayValue):
+                        raise _not_array(array, target)
                     i = env[index] if index is not None else index_value
-                except KeyError as exc:
-                    raise _unset(exc) from None
-                data = target.data
-                if not 0 <= i < len(data):
-                    raise MiniJRuntimeError(
-                        f"UNSOUND: unchecked load {array}[{i}] "
-                        f"(length {len(data)}) in {fn_name}"
-                    )
-                env[dest] = data[i]
+                    data = target.data
+                    if not 0 <= i < len(data):
+                        raise MiniJRuntimeError(
+                            f"UNSOUND: unchecked load {array}[{i}] "
+                            f"(length {len(data)}) in {fn_name}"
+                        )
+                    env[dest] = data[i]
+                except BaseException as exc:
+                    raise _charged(stats, count + 1, cycles + cost, exc) from None
 
-            return op
+            return op, cost
 
         value, value_const = _operand(instr.value)
         cost = DEFAULT_COSTS["arraystore"]
 
         def op(env, guards):
-            stats.instructions += 1
-            stats.cycles += cost
-            target = env.get(array)
-            if not isinstance(target, ArrayValue):
-                raise _not_array(array, target)
             try:
+                target = env.get(array)
+                if not isinstance(target, ArrayValue):
+                    raise _not_array(array, target)
                 i = env[index] if index is not None else index_value
-            except KeyError as exc:
-                raise _unset(exc) from None
-            data = target.data
-            if not 0 <= i < len(data):
-                raise MiniJRuntimeError(
-                    f"UNSOUND: unchecked store {array}[{i}] "
-                    f"(length {len(data)}) in {fn_name}"
-                )
-            try:
+                data = target.data
+                if not 0 <= i < len(data):
+                    raise MiniJRuntimeError(
+                        f"UNSOUND: unchecked store {array}[{i}] "
+                        f"(length {len(data)}) in {fn_name}"
+                    )
                 data[i] = env[value] if value is not None else value_const
-            except KeyError as exc:
-                raise _unset(exc) from None
+            except BaseException as exc:
+                raise _charged(stats, count + 1, cycles + cost, exc) from None
 
-        return op
+        return op, cost
 
-    def _decode_call(self, instr: Call) -> Op:
-        """A call.  The callee is resolved now but a missing one traps only
-        when the call executes, where the program would reach it."""
+    def _decode_call(self, instr: Call, count: int, cycles: int) -> Tuple[Op, int]:
+        """A call.  It charges its segment and itself before anything
+        else, so the callee's fuel tests and traps see every instruction
+        before it.  The callee is resolved now but a missing one traps
+        only when the call executes, where the program would reach it."""
         stats = self.stats
         dest = instr.dest
         callee = self._program.functions.get(instr.callee)
@@ -688,10 +812,12 @@ class Interpreter:
         sources = [_operand(arg) for arg in instr.args]
         call = self._call
         cost = DEFAULT_COSTS["call"]
+        count += 1
+        cycles += cost
 
         def op(env, guards):
-            stats.instructions += 1
-            stats.cycles += cost
+            stats.instructions += count
+            stats.cycles += cycles
             if callee is None:
                 raise UnknownFunctionError(missing)
             try:
@@ -704,7 +830,7 @@ class Interpreter:
                     raise MiniJRuntimeError(void)
                 env[dest] = result
 
-        return op
+        return op, cost
 
 
 def run_program(

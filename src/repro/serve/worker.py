@@ -34,7 +34,7 @@ import sys
 from typing import Any, Dict, Optional
 
 from repro.core.abcd import ABCDConfig
-from repro.errors import MiniJRuntimeError, ReproError
+from repro.errors import ReproError
 from repro.limits import HardDeadlineExceeded, address_space_cap, hard_deadline
 from repro.serve import protocol
 
@@ -45,21 +45,12 @@ CHAOS_ENV = "REPRO_SERVE_CHAOS"
 
 
 def _execute(program, fn: str, args, fuel: int) -> Dict[str, Any]:
-    """Run ``fn(args)`` and capture outcome *and* dynamic counters.
+    """Run ``fn(args)`` and capture outcome *and* dynamic counters, which
+    survive a trap: a degraded response must report its intact checks
+    even when the program traps."""
+    from repro.robustness.differential import execute_counted
 
-    Uses the :class:`Interpreter` object directly (not ``run_program``)
-    so the check/instruction counters survive a trap — a degraded
-    response must report its intact checks even when the program traps.
-    """
-    from repro.robustness.differential import ExecutionOutcome
-    from repro.runtime.interpreter import Interpreter
-
-    interp = Interpreter(program, fuel=fuel)
-    try:
-        outcome = ExecutionOutcome(value=interp.run(fn, tuple(args)).value)
-    except MiniJRuntimeError as exc:
-        outcome = ExecutionOutcome.from_trap(exc)
-    stats = interp.stats
+    outcome, stats = execute_counted(program, fn, tuple(args), fuel)
     return {
         **vars(outcome),
         "checks": {

@@ -4,8 +4,13 @@ import pytest
 
 from repro.bench.corpus import get
 from repro.errors import BoundsCheckError, MiniJRuntimeError
+from repro.fuzz.generator import generate_source
+from repro.fuzz.oracle import CODEGEN_COUNTERS
 from repro.pipeline import abcd, clone_program, compile_source, run
+from repro.robustness.differential import ExecutionOutcome
 from repro.runtime.codegen import compile_to_python
+from repro.runtime.interpreter import Interpreter
+from repro.runtime.profiler import collect_profile
 from repro.runtime.values import ArrayValue
 
 
@@ -179,6 +184,36 @@ class TestCorpusEquivalence:
         interp, comp = both_tiers(source, optimize=True)
         assert interp.value == comp.value
         assert interp.stats.total_checks == comp.stats.total_checks
+
+
+def _outcome(tier) -> ExecutionOutcome:
+    try:
+        return ExecutionOutcome(value=tier.run("main").value)
+    except MiniJRuntimeError as exc:
+        return ExecutionOutcome.from_trap(exc)
+
+
+class TestCounterParityOnGeneratedPrograms:
+    """Every counter of the two tiers agrees at the end of a run, and most
+    of these runs end in a trap: the compiled program, its ABCD output,
+    and its profile-driven ABCD+PRE output (speculative and guarded
+    checks)."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_counter_agrees(self, seed):
+        source = generate_source(seed)
+        plain = compile_source(source)
+        optimized = clone_program(plain)
+        abcd(optimized)
+        speculated = clone_program(plain)
+        profile = collect_profile(clone_program(plain), on_trap="partial")
+        abcd(speculated, pre=True, profile=profile)
+        for program in (plain, optimized, speculated):
+            interp = Interpreter(clone_program(program))
+            compiled = compile_to_python(program)
+            assert _outcome(interp) == _outcome(compiled)
+            for name in CODEGEN_COUNTERS:
+                assert getattr(interp.stats, name) == getattr(compiled.stats, name), name
 
 
 class TestGeneratedSource:

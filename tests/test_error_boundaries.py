@@ -105,6 +105,23 @@ fn main(): int { return helper(41); }
 """
 
 
+PI_OF_UNSET_IR = """fn main() {
+entry0:
+    i.1 := pi(q.0) [lt 3]
+    return i.1
+}"""
+
+
+PHI_WITHOUT_EDGE_IR = """fn main() {
+entry0:
+    x.0 := 1
+    jump b1
+b1:
+    y.1 := phi(other: 2)
+    return y.1
+}"""
+
+
 class TestRuntimeBoundaries:
     def test_interpreter_unknown_function(self):
         program = compile_source("fn main(): int { return 1; }")
@@ -123,6 +140,29 @@ class TestRuntimeBoundaries:
         program = compile_source(RECURSIVE_SRC)
         with pytest.raises(CallDepthExceeded):
             run(program, "main")
+
+    def test_interpreter_pi_of_unset_variable(self):
+        # Unverified IR text: the π copies a variable nothing defines.
+        program = parse_ir_program(PI_OF_UNSET_IR)
+        with pytest.raises(MiniJRuntimeError, match=r"read of unset variable 'q\.0'"):
+            run(program, "main")
+
+    def test_interpreter_phi_without_value_for_the_edge_taken(self):
+        # Unverified IR text: the φ has no incoming value for entry0.
+        program = parse_ir_program(PHI_WITHOUT_EDGE_IR)
+        with pytest.raises(
+            MiniJRuntimeError, match=r"in block 'b1' has no incoming value from 'entry0'"
+        ):
+            run(program, "main")
+
+    def test_malformed_ir_traps_are_outcomes(self):
+        """The differential gate and the worker catch only
+        MiniJRuntimeError: both leaks must arrive as trapped outcomes."""
+        from repro.robustness.differential import execute_outcome
+
+        for text in (PI_OF_UNSET_IR, PHI_WITHOUT_EDGE_IR):
+            outcome = execute_outcome(parse_ir_program(text))
+            assert outcome.trap == "MiniJRuntimeError"
 
     def test_codegen_unknown_function(self):
         program = compile_source("fn main(): int { return 1; }")

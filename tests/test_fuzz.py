@@ -115,6 +115,30 @@ class TestOracleEquivalence:
         assert verdict.signature is None
 
 
+class TestCodegenCounters:
+    """``--codegen`` compares the optimized run's counters, not only its
+    outcome, with the generated code's."""
+
+    CODEGEN = OracleConfig(deadline=None, codegen=True)
+
+    def test_counter_mismatch_is_a_codegen_divergence(self, monkeypatch):
+        from repro.runtime import codegen
+
+        # The generated code charges an allocation 11 cycles; the
+        # interpreter 10.
+        costs = dict(codegen.DEFAULT_COSTS, arraynew=11)
+        monkeypatch.setattr(codegen, "DEFAULT_COSTS", costs)
+        verdict = check_source(generate_source(0), self.CODEGEN)
+        assert verdict.classification == "codegen-divergence"
+        assert verdict.signature == Signature(
+            kind="codegen-divergence", error="counters:cycles"
+        )
+        assert "cycles: interpreter" in verdict.detail
+        # The same program agrees once the generated code is honest again.
+        monkeypatch.undo()
+        assert check_source(generate_source(0), self.CODEGEN).classification == "match"
+
+
 class TestCampaignDeterminism:
     def test_equal_seed_base_gives_byte_identical_json(self):
         first = run_campaign(12, seed_base=0, oracle_config=FAST)
