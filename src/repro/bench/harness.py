@@ -17,7 +17,7 @@ format the resulting rows to match each experiment (E1–E8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.bench.corpus import BenchmarkProgram
@@ -162,10 +162,6 @@ class BenchResult:
     def budget_exhausted_checks(self) -> int:
         return self.report.budget_exhausted_count
 
-    @property
-    def certificates_rejected(self) -> int:
-        return self.report.certificates_rejected
-
 
 def run_benchmark(
     program: BenchmarkProgram,
@@ -207,10 +203,12 @@ def measure_program(
     optimized = clone_program(compiled)
     if session is None:
         session = CompilationSession(config=config)
-    config = session.config
-    if pre:
-        config.pre = True
-    report = session.optimize(optimized, profile=profile if config.pre else None)
+    if pre and not session.config.pre:
+        # A copy: the caller's config stays as passed.
+        session.config = replace(session.config, pre=True)
+    report = session.optimize(
+        optimized, profile=profile if session.config.pre else None
+    )
     opt_result = run_program(optimized, "main", fuel=fuel)
 
     speculative_upper_ids = {

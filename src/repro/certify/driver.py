@@ -3,13 +3,15 @@
 ``certify_state`` runs between the ``pre`` and ``check-removal`` passes:
 every elimination the analysis decided on is still undone cheaply at this
 point (removals are pending in ``state.to_remove``; PRE only appended
-instructions).  For each elimination the driver
+instructions).  It hands the function's eliminations, as :class:`Claim`
+records, to :func:`replay_function` — the one replay loop, which the
+persistent store's load ladder calls too — and
 
 1. rebuilds the inequality graphs **freshly** from the function as it
    stands (independent of the analysis-time bundle — a corrupted bundle
    cannot vouch for itself), recomputing GVN congruences from scratch for
    eliminations that rested on a Section-7.1 retry;
-2. replays the recorded witness through the independent checker
+2. replays each claim's witness through the independent checker
    (:mod:`repro.certify.checker`).  The function's non-PRE
    certificates replay through one checker replay per (kind,
    certificate source), so a proof that several certificates share
@@ -21,21 +23,21 @@ instructions).  For each elimination the driver
      program, its :class:`~repro.core.abcd.CheckAnalysis` is marked
      ``revoked`` (for PRE, the compensating checks are removed and the
      guarded check reverts to unconditional);
-   * second rung — once ``config.certify_quarantine`` rejections accrue
-     in one function, quarantine it: every elimination in the function is
+   * second rung — once :data:`QUARANTINE_AFTER` rejections accrue in
+     one function, quarantine it: every elimination in the function is
      revoked and it compiles unoptimized;
    * ``--strict`` — escalate the first rejection to a
      :class:`~repro.errors.CertificateError` instead.
 
-All compiler-side imports (graph construction, GVN) are function-local:
-this module is imported by the solver via the package ``__init__`` and
-must not complete the cycle at import time.
+All compiler-side imports (graph construction, GVN, the ABCD query) are
+function-local: this module is imported by the solver via the package
+``__init__`` and must not complete the cycle at import time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
 
 from repro.certify.checker import (
     AssumeContext,
@@ -44,8 +46,12 @@ from repro.certify.checker import (
     check_witness,
 )
 from repro.certify.witness import witness_to_json
-from repro.core.graph import Node, const_node, len_node
+from repro.core.graph import Node
 from repro.errors import CertificateError
+
+#: Quarantine a function to unoptimized compilation once this many of its
+#: certificates are rejected (the revocation ladder's second rung).
+QUARANTINE_AFTER = 2
 
 
 @dataclass
@@ -59,6 +65,18 @@ class CertVerdict:
     reason: Optional[str] = None
 
 
+class Claim(NamedTuple):
+    """One elimination to re-prove, as :func:`replay_elimination` takes
+    it; ``assume`` is set for a PRE transformation."""
+
+    kind: str
+    array: Optional[str]
+    target: Node
+    witness: object
+    cert_source: Optional[Node]
+    assume: Optional[AssumeContext]
+
+
 def certify_state(fn, state, config, report=None) -> List[CertVerdict]:
     """Certify every elimination recorded in ``state`` (an
     :class:`~repro.core.abcd.AbcdState`), revoking the rejected ones.
@@ -69,98 +87,119 @@ def certify_state(fn, state, config, report=None) -> List[CertVerdict]:
     function names to ``report.quarantined_functions`` when a report is
     given.
     """
+    eliminations = list(state.eliminations())
+    if not eliminations:
+        return []
+    claims = []
+    for site, record, pre in eliminations:
+        # A PRE check stays in the IR as a guarded check, so its
+        # certificate covers the compensating-check assumptions instead.
+        group = site.instr.guard_group
+        assume = AssumeContext(fn, site.kind, site.array, group) if pre else None
+        claims.append(Claim(site.kind, site.array, site.target, record.witness,
+                            record.cert_source, assume))
     verdicts: List[CertVerdict] = []
-    bundle = fresh_bundle(fn, config)
-    records: Dict[int, object] = {a.check_id: a for a in state.analyses}
-    gvn_cache: List[Optional[object]] = [None]
-    # One replay per (kind, certificate source) for the whole function,
-    # so subtrees shared between its certificates verify once.
-    replays: Dict[tuple, _Replay] = {}
-    rejections = 0
-
-    surviving = []
-    for site in state.to_remove:
-        record = records.get(site.instr.check_id)
-        reason = _check_one(fn, bundle, site, record, gvn_cache, replays=replays)
-        verdict = _verdict(fn, site, reason)
+    reasons = replay_function(fn, config, claims)
+    for (site, record, pre), reason in zip(eliminations, reasons):
+        status = "accepted" if reason is None else "rejected"
+        verdict = CertVerdict(site.instr.check_id, fn.name, site.kind, status, reason)
         verdicts.append(verdict)
         if reason is None:
             record.certificate = "accepted"
-            surviving.append(site)
-        else:
-            rejections += 1
-            _revoke(record, "rejected")
-            _escalate(config, verdict)
-    state.to_remove[:] = surviving
-
-    # PRE-transformed checks: the guarded check stays in the IR, so the
-    # certificate covers the compensating-check assumptions instead.
-    for site, record in state.pre_candidates:
-        if not getattr(record, "pre_applied", False) or not record.eliminated:
             continue
-        assume = AssumeContext(
-            fn, site.kind, site.array, site.instr.guard_group
-        )
-        reason = _check_one(fn, bundle, site, record, gvn_cache, assume=assume)
-        verdict = _verdict(fn, site, reason)
-        verdicts.append(verdict)
-        if reason is None:
-            record.certificate = "accepted"
-        else:
-            rejections += 1
+        if pre:
             _undo_pre(fn, site)
-            _revoke(record, "rejected")
-            _escalate(config, verdict)
-
-    if rejections >= config.certify_quarantine > 0:
-        _quarantine(fn, state, records)
+        _revoke(record, "rejected")
+        if config.strict:
+            raise CertificateError(
+                f"certificate rejected for check #{verdict.check_id} in "
+                f"{fn.name}: {reason}"
+            )
+    state.to_remove[:] = [
+        site for site, record, pre in eliminations if not pre and not record.revoked
+    ]
+    if sum(v.status == "rejected" for v in verdicts) >= QUARANTINE_AFTER:
+        # Second rung: revoke every elimination left in the function.
+        for site, record, pre in list(state.eliminations()):
+            if pre:
+                _undo_pre(fn, site)
+            _revoke(record, None)
+        state.to_remove[:] = []
         if report is not None:
             report.quarantined_functions.append(fn.name)
     return verdicts
 
 
 # ----------------------------------------------------------------------
-# One elimination.
+# Replay: one function, one elimination.
 # ----------------------------------------------------------------------
 
 
-def _check_one(
-    fn, bundle, site, record, gvn_cache, assume=None, replays=None
+def replay_function(fn, config, claims: Iterable[Claim]) -> Iterator[Optional[str]]:
+    """Replay one function's claims through the independent checker and
+    yield each one's rejection reason (``None``: accepted), in order; a
+    caller may stop early.
+
+    The graphs are rebuilt from ``fn`` once and values are numbered at
+    most once.  Plain claims share one checker replay per (kind,
+    certificate source); each PRE claim replays fresh under its own
+    assumption context.
+    """
+    bundle = fresh_bundle(fn, config)
+    cache: List[Optional[object]] = [None]  # the function's value numbering
+    replays: Dict[tuple, _Replay] = {}
+    for claim in claims:
+        shared = replays if claim.assume is None else None
+        yield replay_elimination(fn, bundle, *claim, gvn_cache=cache, replays=shared)
+
+
+def replay_elimination(
+    fn,
+    bundle,
+    kind: str,
+    array: Optional[str],
+    target: Node,
+    witness,
+    cert_source: Optional[Node] = None,
+    assume: Optional[AssumeContext] = None,
+    gvn_cache: Optional[list] = None,
+    replays: Optional[Dict[tuple, _Replay]] = None,
 ) -> Optional[str]:
     """Replay one elimination's certificate; ``None`` means accepted,
-    otherwise the rejection reason.  ``replays`` maps ``(kind, source)``
-    to the function's shared replay; without it the certificate replays
-    fresh."""
-    graph, source, budget = _query(bundle, site)
+    otherwise the rejection reason.  ``cert_source`` is set when the proof
+    started from another vertex than the check's query (a Section-7.1
+    retry against a congruent array); ``gvn_cache`` is a one-slot list
+    that numbers the function's values once across calls.  ``replays``
+    maps ``(kind, source)`` to the function's shared replay; without it
+    the certificate replays fresh, under ``assume``.
+    """
+    from repro.core.abcd import _query_for
+
+    graph, source, budget = _query_for(bundle, kind, array)
     try:
-        if record is None:
-            raise CertificateRejected("no analysis record for this elimination")
-        cert_source = record.cert_source or source
-        if cert_source != source:
-            _validate_congruent_source(fn, bundle, site, cert_source, gvn_cache)
+        if cert_source is not None and cert_source != source:
+            _validate_congruent_source(
+                fn, bundle, kind, array, cert_source, gvn_cache or [None]
+            )
             source = cert_source
         if replays is None:
-            check_witness(graph, source, site.target, budget, record.witness, assume)
+            check_witness(graph, source, target, budget, witness, assume)
         else:
-            replay = replays.get((site.kind, source))
+            replay = replays.get((kind, source))
             if replay is None:
-                replay = replays[site.kind, source] = _Replay(graph, source)
-            replay.check(site.target, budget, record.witness)
+                replay = replays[kind, source] = _Replay(graph, source)
+            replay.check(target, budget, witness)
     except CertificateRejected as exc:
         return str(exc)
     return None
 
 
-def _query(bundle, site):
-    if site.kind == "upper":
-        return bundle.upper, len_node(site.array), -1
-    return bundle.lower, const_node(0), 0
-
-
-def _validate_congruent_source(fn, bundle, site, cert_source: Node, gvn_cache) -> None:
+def _validate_congruent_source(
+    fn, bundle, kind: str, array: Optional[str], cert_source: Node, gvn_cache
+) -> None:
     """A Section-7.1 elimination proves against a *congruent* array's
     length; re-derive the congruence with a fresh value numbering."""
-    if cert_source.kind != "len" or site.kind != "upper":
+    if cert_source.kind != "len" or kind != "upper":
         raise CertificateRejected(
             f"certificate source {cert_source} does not match the query"
         )
@@ -169,9 +208,9 @@ def _validate_congruent_source(fn, bundle, site, cert_source: Node, gvn_cache) -
 
         gvn_cache[0] = value_number(fn)
     other = cert_source.name
-    if other not in gvn_cache[0].class_members(site.array):
+    if other not in gvn_cache[0].class_members(array):
         raise CertificateRejected(
-            f"{other} is not value-congruent to {site.array}"
+            f"{other} is not value-congruent to {array}"
         )
     if other not in bundle.array_vars:
         raise CertificateRejected(f"{other} is not an array variable")
@@ -198,69 +237,6 @@ def fresh_bundle(fn, config):
         pi_constraints=config.pi_constraints,
         domtree=domtree,
     )
-
-
-def _verdict(fn, site, reason: Optional[str]) -> CertVerdict:
-    return CertVerdict(
-        check_id=site.instr.check_id,
-        function=fn.name,
-        kind=site.kind,
-        status="accepted" if reason is None else "rejected",
-        reason=reason,
-    )
-
-
-# ----------------------------------------------------------------------
-# Replay of stored eliminations (the persistent store's re-check hook).
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class _ReplaySite:
-    """The site fields ``_check_one``/``_query`` consume, minus the IR
-    instruction — a stored elimination carries them explicitly."""
-
-    kind: str
-    array: Optional[str]
-    target: Node
-
-
-@dataclass
-class _ReplayRecord:
-    cert_source: Optional[Node]
-    witness: object
-
-
-def replay_elimination(
-    fn,
-    bundle,
-    kind: str,
-    array: Optional[str],
-    target: Node,
-    witness,
-    cert_source: Optional[Node] = None,
-    assume: Optional[AssumeContext] = None,
-    gvn_cache: Optional[list] = None,
-    replays: Optional[Dict[tuple, _Replay]] = None,
-) -> Optional[str]:
-    """Replay one *stored* elimination through the independent checker.
-
-    Exactly the validation ``certify_state`` applies to an in-memory
-    elimination, addressed by value instead of by live ``AbcdState``
-    objects: the caller supplies the check's kind/array/proof target and
-    the decoded witness, and gets back ``None`` (accepted) or the
-    rejection reason.  ``gvn_cache`` is a one-slot list shared across
-    calls on the same function so Section-7.1 congruence replays number
-    values once.  ``replays`` is the function's shared replay map, as in
-    ``certify_state``: pass one per function for non-PRE certificates
-    and none for a PRE certificate, which replays fresh under its own
-    ``assume`` context.
-    """
-    site = _ReplaySite(kind=kind, array=array, target=target)
-    record = _ReplayRecord(cert_source=cert_source, witness=witness)
-    if gvn_cache is None:
-        gvn_cache = [None]
-    return _check_one(fn, bundle, site, record, gvn_cache, assume, replays)
 
 
 # ----------------------------------------------------------------------
@@ -294,27 +270,6 @@ def _undo_pre(fn, site) -> None:
             fn.remove_instr(chains.block_of(instr), instr)
 
 
-def _quarantine(fn, state, records) -> None:
-    """Second rung: revoke every elimination in the function."""
-    for site in state.to_remove:
-        record = records.get(site.instr.check_id)
-        if record is not None:
-            _revoke(record, None)
-    state.to_remove[:] = []
-    for site, record in state.pre_candidates:
-        if getattr(record, "pre_applied", False) and record.eliminated:
-            _undo_pre(fn, site)
-            _revoke(record, None)
-
-
-def _escalate(config, verdict: CertVerdict) -> None:
-    if config.strict:
-        raise CertificateError(
-            f"certificate rejected for check #{verdict.check_id} in "
-            f"{verdict.function}: {verdict.reason}"
-        )
-
-
 # ----------------------------------------------------------------------
 # Serialization.
 # ----------------------------------------------------------------------
@@ -322,7 +277,7 @@ def _escalate(config, verdict: CertVerdict) -> None:
 
 def certificates_to_json(report) -> Dict[str, object]:
     """Deterministic JSON form of a report's certificate outcomes (the
-    payload behind ``repro certify --json``)."""
+    payload behind ``repro optimize --json``)."""
     analyses = sorted(report.analyses, key=lambda a: (a.function, a.check_id))
     return {
         "summary": {

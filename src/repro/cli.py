@@ -5,9 +5,8 @@ Commands:
 * ``run FILE``       — compile and execute a MiniJ program, reporting the
   result and the dynamic check counters;
 * ``optimize FILE``  — run ABCD and print the per-check report (optionally
-  the optimized IR and the dynamic before/after comparison);
-* ``certify FILE``   — optimize with proof-witness emission and report the
-  independent checker's verdict on every elimination;
+  the optimized IR and the dynamic before/after comparison; with
+  ``--certify``, the independent checker's verdict on every elimination);
 * ``ir FILE``        — print the compiled IR (e-SSA by default);
 * ``dot FILE``       — emit Graphviz for a function's CFG or its
   inequality graphs;
@@ -191,6 +190,14 @@ def cmd_optimize(args) -> int:
     if session.config.pre:
         profile = collect_profile(program, args.fn)
     report = session.optimize(program, profile=profile)
+    status = 1 if report.certificates_rejected else 0
+    if args.json:
+        import json
+
+        from repro.certify.driver import certificates_to_json
+
+        print(json.dumps(certificates_to_json(report), indent=2, sort_keys=True))
+        return status
 
     print(f"{'check':>6} {'kind':<6} {'function':<16} {'verdict':<8} "
           f"{'steps':>6} {'scope':<7} notes")
@@ -257,7 +264,7 @@ def cmd_optimize(args) -> int:
     if args.emit_ir:
         print()
         print(format_program(program))
-    return 0
+    return status
 
 
 def _cmd_optimize_cached(args) -> int:
@@ -320,7 +327,7 @@ def cmd_cache(args) -> int:
         # configuration (the one the serve path compiles with) and
         # quarantines anything that fails any rung of the ladder.
         results = store.verify_all(ABCDConfig())
-        rejected = [r for r in results if not r.ok]
+        rejected = [r for r in results if not r.hit]
         if args.json:
             print(json.dumps(
                 {
@@ -329,7 +336,7 @@ def cmd_cache(args) -> int:
                     "results": [
                         {
                             "fingerprint": r.fingerprint,
-                            "ok": r.ok,
+                            "ok": r.hit,
                             "reason": r.reason,
                             "eliminations": r.eliminations,
                         }
@@ -343,7 +350,7 @@ def cmd_cache(args) -> int:
             for result in results:
                 verdict = (
                     f"ok ({result.eliminations} certificate(s) replayed)"
-                    if result.ok
+                    if result.hit
                     else f"REJECTED: {result.reason}"
                 )
                 print(f"{result.fingerprint}  {verdict}")
@@ -365,57 +372,6 @@ def cmd_cache(args) -> int:
         print(f"no entry for {args.fingerprint}", file=sys.stderr)
         return 1
     raise AssertionError(f"unknown cache command {args.cache_command!r}")
-
-
-def cmd_certify(args) -> int:
-    """Optimize with certificate emission and report every verdict."""
-    import json
-
-    from repro.certify.driver import certificates_to_json
-
-    config = _config_from(args)
-    config.certify = True
-    session = CompilationSession(config=config, strict=args.strict)
-    program = session.compile(
-        _read_source(args.file),
-        standard_opts=not args.no_std_opts,
-        inline=args.inline,
-    )
-    profile = None
-    if config.pre:
-        profile = collect_profile(program, args.fn)
-    report = session.optimize(program, profile=profile)
-
-    if args.json:
-        print(json.dumps(certificates_to_json(report), indent=2, sort_keys=True))
-    else:
-        print(f"{'check':>6} {'kind':<6} {'function':<16} {'certificate':<12} notes")
-        for analysis in sorted(
-            report.analyses, key=lambda a: (a.function, a.check_id)
-        ):
-            if not analysis.eliminated and analysis.certificate is None:
-                continue
-            notes = []
-            if analysis.via_gvn:
-                notes.append("gvn")
-            if analysis.pre_applied:
-                notes.append(f"pre({analysis.pre_insertions})")
-            if analysis.revoked:
-                notes.append("revoked")
-            print(
-                f"#{analysis.check_id:>5} {analysis.kind:<6} "
-                f"{analysis.function:<16} {analysis.certificate or '-':<12} "
-                f"{' '.join(notes)}"
-            )
-        print(
-            f"\ncertificates: {report.certificates_emitted} emitted, "
-            f"{report.certificates_accepted} accepted, "
-            f"{report.certificates_rejected} rejected, "
-            f"{report.revoked_count} revoked"
-        )
-        for name in report.quarantined_functions:
-            print(f"  quarantined: {name}")
-    return 1 if report.certificates_rejected else 0
 
 
 def cmd_ir(args) -> int:
@@ -453,14 +409,13 @@ def cmd_bench(args) -> int:
         for program_def in CORPUS
         if names is None or program_def.name in names
     ]
+    config = ABCDConfig(certify=args.certify)
     results = []
     interrupted = False
     with _sigterm_as_interrupt():
         try:
             for program_def in selected:
                 print(f"measuring {program_def.name}...", file=sys.stderr)
-                # Fresh config per program: PRE flips state on it.
-                config = ABCDConfig(certify=args.certify)
                 results.append(
                     run_benchmark(program_def, config=config, pre=not args.no_pre)
                 )
@@ -698,7 +653,14 @@ def build_parser() -> argparse.ArgumentParser:
     opt_parser.add_argument(
         "--certify",
         action="store_true",
-        help="emit and independently check a proof witness per elimination",
+        help="emit and independently check a proof witness per elimination "
+        "(exit 1 on any rejection)",
+    )
+    opt_parser.add_argument(
+        "--json",
+        action="store_true",
+        help="print the deterministic per-check certificate payload as JSON "
+        "instead of the report (not with --cache-dir)",
     )
     opt_parser.add_argument(
         "--cache-dir", metavar="DIR",
@@ -746,23 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="store root directory",
         )
         sub.set_defaults(handler=cmd_cache)
-
-    cert_parser = commands.add_parser(
-        "certify", help="optimize with proof-witness certification and report"
-    )
-    _add_compile_flags(cert_parser)
-    cert_parser.add_argument("--fn", default="main", help="entry for profiling")
-    cert_parser.add_argument("--pre", action="store_true", help="enable PRE")
-    cert_parser.add_argument(
-        "--gvn", choices=["off", "consult", "augment"], default="consult"
-    )
-    cert_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the deterministic certificate payload as JSON",
-    )
-    _add_budget_flags(cert_parser)
-    cert_parser.set_defaults(handler=cmd_certify)
 
     ir_parser = commands.add_parser("ir", help="print compiled IR")
     _add_compile_flags(ir_parser)

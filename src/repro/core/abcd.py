@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.constraints import GraphBundle, build_graphs
 from repro.core.graph import Edge, InequalityGraph, Node, const_node, len_node, var_node
@@ -78,9 +78,6 @@ class ABCDConfig:
     #: the independent checker (``repro.certify``) before any check is
     #: removed; a rejected certificate revokes exactly that elimination.
     certify: bool = False
-    #: Quarantine a function to unoptimized compilation once this many of
-    #: its certificates are rejected (the revocation ladder's second rung).
-    certify_quarantine: int = 2
 
     def __post_init__(self) -> None:
         if self.gvn_mode not in ("off", "consult", "augment"):
@@ -292,6 +289,17 @@ class AbcdState:
     to_remove: List[_CheckSite] = field(default_factory=list)
     pre_candidates: List = field(default_factory=list)
 
+    def eliminations(self) -> Iterator[Tuple[_CheckSite, CheckAnalysis, bool]]:
+        """The pending eliminations as ``(site, record, pre)``: first the
+        proven sites (``check-removal`` deletes them), then the checks PRE
+        transformed (they stay in the IR as guarded checks)."""
+        records = {a.check_id: a for a in self.analyses}
+        for site in self.to_remove:
+            yield site, records[site.instr.check_id], False
+        for site, record in self.pre_candidates:
+            if record.pre_applied and record.eliminated:
+                yield site, record, True
+
 
 def analyze_checks(
     fn: Function,
@@ -350,7 +358,7 @@ def analyze_checks(
         if config.hot_checks is not None and check_id not in config.hot_checks:
             continue
 
-        graph, source, budget = _query_for(bundle, site)
+        graph, source, budget = _query_for(bundle, site.kind, site.array)
         target = site.target
 
         started = time.perf_counter()
@@ -468,11 +476,11 @@ def remove_checks(fn: Function, state: AbcdState) -> int:
 # ----------------------------------------------------------------------
 
 
-def _query_for(bundle: GraphBundle, site: _CheckSite):
-    """Graph, source vertex, and budget for one check's query."""
-    if site.kind == "upper":
-        assert site.array is not None
-        return bundle.upper, len_node(site.array), -1
+def _query_for(bundle: GraphBundle, kind: str, array: Optional[str]):
+    """Graph, source vertex, and budget for one check's query (the
+    certificate checker replays against the same one)."""
+    if kind == "upper":
+        return bundle.upper, len_node(array), -1
     return bundle.lower, const_node(0), 0
 
 

@@ -119,12 +119,6 @@ class SessionStats:
     def __init__(self, analysis: Optional[AnalysisManager] = None) -> None:
         self.passes: Dict[str, PassStats] = {}
         self.analysis = analysis
-        #: Certificate counters of the certify pass (certify mode only).
-        self.certificates: Dict[str, int] = {
-            "emitted": 0,
-            "accepted": 0,
-            "rejected": 0,
-        }
         #: Free-form campaign counters (the fuzz driver folds its
         #: per-classification tallies in here as ``fuzz.<name>``).
         self.counters: Dict[str, int] = {}
@@ -156,20 +150,11 @@ class SessionStats:
             mine.seconds += entry.seconds
             mine.instructions_visited += entry.instructions_visited
             mine.worklist_revisits += entry.worklist_revisits
-        for name, value in other.certificates.items():
-            self.certificates[name] = self.certificates.get(name, 0) + value
         for name, value in other.counters.items():
             if name.endswith("_peak"):
                 self.bump_peak(name, value)
             else:
                 self.bump(name, value)
-
-    def count_certificates(self, verdicts: Sequence) -> None:
-        """Fold one function's certificate verdicts into the session."""
-        for verdict in verdicts:
-            self.certificates["emitted"] += 1
-            if verdict.status in self.certificates:
-                self.certificates[verdict.status] += 1
 
     def record(
         self, name: str, seconds: float, changed: int = 0, rollback: bool = False
@@ -220,14 +205,6 @@ class SessionStats:
                     line += f"{'-':>9}{'-':>10}"
             lines.append(line)
         lines.append(f"{'total':<24}{'':>6}{'':>9}{'':>11}{self.total_seconds:>10.4f}")
-        if self.certificates["emitted"]:
-            lines.append("")
-            lines.append(
-                "certificates: "
-                f"{self.certificates['emitted']} emitted, "
-                f"{self.certificates['accepted']} accepted, "
-                f"{self.certificates['rejected']} rejected"
-            )
         if self.counters:
             lines.append("")
             lines.append(f"{'counter':<32}{'value':>12}")
@@ -260,7 +237,6 @@ class SessionStats:
                 for entry in self.passes.values()
             ],
             "total_seconds": self.total_seconds,
-            "certificates": dict(self.certificates),
             "counters": dict(sorted(self.counters.items())),
             "analysis": self.analysis.stats() if self.analysis is not None else {},
         }

@@ -22,6 +22,7 @@ else sequences the ABCD passes.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional, Sequence
 
 from repro.core.abcd import ABCDConfig, ABCDReport
@@ -55,7 +56,8 @@ class CompilationSession:
     ) -> None:
         self.config = config if config is not None else ABCDConfig()
         if strict:
-            self.config.strict = True
+            # A copy: the caller's config stays as passed.
+            self.config = dataclasses.replace(self.config, strict=True)
         self.guard = (
             guard if guard is not None else PassGuard(strict=self.config.strict)
         )

@@ -16,6 +16,7 @@ the state in which a dynamic compiler would hand code to ABCD.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional, Sequence
 
 from repro.core.abcd import ABCDConfig, ABCDReport
@@ -86,8 +87,8 @@ def abcd(
 ) -> ABCDReport:
     """Run the ABCD optimizer over every function of ``program``.
 
-    ``pre=True`` is a convenience that flips the config flag (a profile
-    must then be supplied).
+    ``pre=True`` is a convenience that turns the config flag on, in a
+    copy of ``config`` (a profile must then be supplied).
 
     The ABCD passes run through a :class:`~repro.passes.session.
     CompilationSession`, so each function is optimized inside the pass
@@ -100,12 +101,10 @@ def abcd(
     """
     from repro.passes.session import CompilationSession
 
-    if config is None:
-        config = ABCDConfig()
-    if pre:
-        config.pre = True
-    if strict:
-        config.strict = True
+    config = config or ABCDConfig()
+    config = dataclasses.replace(
+        config, pre=config.pre or pre, strict=config.strict or strict
+    )
     if config.pre and profile is None:
         raise ValueError("PRE requires a profile (pass profile=...)")
     report = CompilationSession(config).optimize(program, profile=profile)

@@ -17,7 +17,7 @@ unoptimized program.  This module makes that property executable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.abcd import ABCDConfig, ABCDReport, PassFailure
@@ -205,10 +205,10 @@ def gated_optimize(
     from repro.pipeline import clone_program
     from repro.robustness.guard import PassGuard, _restore_in_place
 
-    if config is None:
-        config = ABCDConfig()
+    config = config or ABCDConfig()
     if strict:
-        config.strict = True
+        # A copy: the caller's config stays as passed.
+        config = replace(config, strict=True)
 
     candidate = clone_program(program)
     guard = PassGuard(strict=strict)

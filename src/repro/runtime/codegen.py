@@ -12,7 +12,10 @@ the interpreter exactly:
 * MiniJ division/modulo truncate toward zero;
 * φs are compiled as parallel assignments on each incoming edge
   (the function is SSA-destructed-on-the-fly: the generated code assigns
-  φ destinations at the end of each predecessor).
+  φ destinations at the end of each predecessor);
+* on IR the verifier would reject, a read of an unset variable and a φ
+  with no value for the edge taken trap with the interpreter's
+  :class:`MiniJRuntimeError` message, when the run reaches them.
 
 Differential tests (``tests/test_codegen.py``) run random and corpus
 programs through both tiers and require identical results and counters.
@@ -20,6 +23,7 @@ programs through both tiers and require identical results and counters.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Sequence
 
 from repro.errors import BoundsCheckError, MiniJRuntimeError
@@ -73,6 +77,18 @@ def _mangle(name: str) -> str:
     )
 
 
+def _unmangle(identifier: str) -> str:
+    """Invert :func:`_mangle`: after ``v_``, each underscore opens an escape."""
+    escapes = {"u": "_", "p": "%", "d": ".", "a": "@"}
+    return re.sub(r"_([upda])_", lambda m: escapes[m.group(1)], identifier[2:])
+
+
+def _no_incoming(phi: Phi, block: str, source: str) -> str:
+    """The interpreter's trap message for a φ with no value for the way
+    control arrived."""
+    return f"φ {phi.dest} in block {block!r} has no incoming value from {source}"
+
+
 def _operand(op: Operand) -> str:
     if isinstance(op, Const):
         return repr(op.value)
@@ -97,6 +113,10 @@ class _FunctionCompiler:
         self._lines.append(f"def {fn.name}({params}):")
         self._indent = 1
         self.emit("_guards = {}")
+        entry_phis = fn.blocks[fn.entry].phis
+        if entry_phis:
+            message = _no_incoming(entry_phis[0], fn.entry, "the function entry")
+            self.emit(f"raise _RuntimeError({message!r})")
         labels = fn.reachable_blocks()
         label_ids = {label: i for i, label in enumerate(labels)}
         self.emit(f"_block = {label_ids[fn.entry]}")
@@ -116,8 +136,18 @@ class _FunctionCompiler:
     # ------------------------------------------------------------------
 
     def _phi_moves(self, target_label: str, from_label: str) -> None:
-        """Parallel φ assignment for the edge from_label -> target_label."""
+        """Parallel φ assignment for the edge from_label -> target_label.
+        A φ with no value for the edge traps when the edge is taken, after
+        reading the φs before it, as the interpreter does."""
         phis = self._fn.blocks[target_label].phis
+        for position, phi in enumerate(phis):
+            if from_label not in phi.incomings:
+                reads = [_operand(p.incomings[from_label]) for p in phis[:position]]
+                if reads:
+                    self.emit(f"({', '.join(reads)},)")
+                message = _no_incoming(phi, target_label, repr(from_label))
+                self.emit(f"raise _RuntimeError({message!r})")
+                return
         if not phis:
             return
         sources = ", ".join(
@@ -339,6 +369,15 @@ class CompiledProgram:
             raise CallDepthExceeded(
                 f"call depth exhausted the generated-code stack in "
                 f"{function_name!r}"
+            ) from None
+        except NameError as exc:
+            # Only IR variables can be unbound in the generated code; the
+            # message names the identifier on every supported Python.
+            identifier = re.search(r"'(v_\w+)'", str(exc))
+            if identifier is None:
+                raise
+            raise MiniJRuntimeError(
+                f"read of unset variable {_unmangle(identifier.group(1))!r}"
             ) from None
         return ExecutionResult(value, self.stats)
 

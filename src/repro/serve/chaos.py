@@ -1049,9 +1049,9 @@ def run_corruption_storm(
         serve_cold(cold, plan[restart_at:])
         if cold.store is not None:
             first = cold.store.verify_all(ABCDConfig())
-            result.verify_quarantined = sum(1 for v in first if not v.ok)
+            result.verify_quarantined = sum(1 for v in first if not v.hit)
             second = cold.store.verify_all(ABCDConfig())
-            result.verify_rejections = sum(1 for v in second if not v.ok)
+            result.verify_rejections = sum(1 for v in second if not v.hit)
             result.invariant_violations += cold.store.invariant_violations()
     fold_counters(cold.stats.counters)
     if not result.supervisor_alive:

@@ -105,11 +105,7 @@ def _attach_store_entry(
     """
     from repro.store.entry import entry_payload
 
-    if report.pass_failures:
-        capture.mark_uncacheable("pass failures during optimization")
-    if report.quarantined_functions:
-        capture.mark_uncacheable("certify quarantined a function")
-    entry = capture.build_entry(frame.get("fingerprint", ""), program)
+    entry = capture.build_entry(frame.get("fingerprint", ""), program, report)
     if entry is None:
         response["store_uncacheable"] = capture.reason or "not captured"
         return

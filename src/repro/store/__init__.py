@@ -30,7 +30,7 @@ from repro.store.fingerprint import (
     store_fingerprint,
 )
 from repro.store.service import CachedOutcome, cached_optimize_source, certifying_config
-from repro.store.store import CertStore, LoadResult, VerifyResult
+from repro.store.store import CertStore, LoadResult
 
 __all__ = [
     "CachedOutcome",
@@ -41,7 +41,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "StoreCapture",
     "StoreEntry",
-    "VerifyResult",
     "cached_optimize_source",
     "certifying_config",
     "config_key",

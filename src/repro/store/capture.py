@@ -49,68 +49,58 @@ class StoreCapture:
         (``state`` is the post-certify :class:`~repro.core.abcd.AbcdState`)."""
         from repro.ir.printer import format_function
 
-        records = {a.check_id: a for a in state.analyses}
         elims: List[Elimination] = []
-        for site in state.to_remove:
-            record = records.get(site.instr.check_id)
-            if not self._certified(record):
+        for site, record, pre in state.eliminations():
+            if (
+                record.witness is None
+                or record.certificate != "accepted"
+                or (pre and site.instr.guard_group is None)
+            ):
                 self.mark_uncacheable(
-                    f"{fn.name}: elimination #{site.instr.check_id} "
-                    "lacks an accepted certificate"
+                    f"{fn.name}: {'PRE ' if pre else ''}elimination "
+                    f"#{site.instr.check_id} lacks an accepted certificate"
                 )
                 return
-            elims.append(self._elimination(site, record, pre=False))
-        for site, record in state.pre_candidates:
-            if not getattr(record, "pre_applied", False) or not record.eliminated:
-                continue
-            if not self._certified(record) or site.instr.guard_group is None:
-                self.mark_uncacheable(
-                    f"{fn.name}: PRE elimination #{site.instr.check_id} "
-                    "lacks an accepted certificate"
+            elims.append(
+                Elimination(
+                    check_id=site.instr.check_id,
+                    kind=site.kind,
+                    array=site.array,
+                    target=self.table.vertex(site.target),
+                    witness=self.table.witness(record.witness),
+                    cert_source=(
+                        self.table.vertex(record.cert_source)
+                        if record.cert_source is not None
+                        else None
+                    ),
+                    pre=pre,
                 )
-                return
-            elims.append(self._elimination(site, record, pre=True))
+            )
         self.ir_by_function[fn.name] = format_function(fn)
         self.eliminations[fn.name] = elims
-
-    @staticmethod
-    def _certified(record) -> bool:
-        return (
-            record is not None
-            and record.witness is not None
-            and record.certificate == "accepted"
-        )
-
-    def _elimination(self, site, record, pre: bool) -> Elimination:
-        return Elimination(
-            check_id=site.instr.check_id,
-            kind=site.kind,
-            array=site.array,
-            target=self.table.vertex(site.target),
-            witness=self.table.witness(record.witness),
-            cert_source=(
-                self.table.vertex(record.cert_source)
-                if record.cert_source is not None
-                else None
-            ),
-            pre=pre,
-        )
 
     # ------------------------------------------------------------------
     # Assembly.
     # ------------------------------------------------------------------
 
-    def build_entry(self, fingerprint: str, program) -> Optional[StoreEntry]:
+    def build_entry(self, fingerprint: str, program, report) -> Optional[StoreEntry]:
         """Assemble the durable entry, or ``None`` when not cacheable.
 
-        ``program`` fixes the function order and completeness: a function
-        the capture never saw (analysis failed, e-SSA rolled back) makes
-        the capture uncacheable rather than producing an entry that hides
-        the function.  So do certificates that expand past the load
-        ladder's bound: every load would reject and quarantine the entry.
+        ``report`` is the optimization's :class:`~repro.core.abcd.
+        ABCDReport`: a contained pass failure or a quarantined function
+        makes the capture uncacheable.  ``program`` fixes the function
+        order and completeness: a function the capture never saw
+        (analysis failed, e-SSA rolled back) makes the capture uncacheable
+        rather than producing an entry that hides the function.  So do
+        certificates that expand past the load ladder's bound: every load
+        would reject and quarantine the entry.
         """
         from repro.store.store import MAX_WITNESS_NODES
 
+        if report.pass_failures:
+            self.mark_uncacheable("pass failures during optimization")
+        if report.quarantined_functions:
+            self.mark_uncacheable("certify quarantined a function")
         if not self.cacheable:
             return None
         missing = [

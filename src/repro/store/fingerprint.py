@@ -7,10 +7,10 @@ output:
   unit, so whitespace and comment edits still hit while any token-level
   edit misses;
 * the **ABCDConfig** — every field that steers analysis or
-  transformation.  ``certify``/``strict``/``certify_quarantine`` are
-  excluded: stored entries are *always* captured under certification
-  (that is what makes loads replayable), so certification flags select a
-  validation posture, not a different optimized program.  The key also
+  transformation.  ``certify`` and ``strict`` are excluded: stored
+  entries are *always* captured under certification (that is what makes
+  loads replayable), so those flags select a validation posture, not a
+  different optimized program.  The key also
   carries the name of the one proof engine, so keys written while the
   engine was selectable still hit;
 * the **pipeline id** — the registered pass names actually scheduled,
@@ -37,7 +37,7 @@ from repro.core.abcd import ABCDConfig
 SCHEMA_VERSION = 2
 
 #: Config fields that select a validation posture, not an output.
-_CONFIG_EXCLUDED = frozenset({"certify", "strict", "certify_quarantine"})
+_CONFIG_EXCLUDED = frozenset({"certify", "strict"})
 
 
 def source_structure_hash(source: str) -> str:

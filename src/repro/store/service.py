@@ -82,11 +82,7 @@ def cached_optimize_source(
     program = session.compile(source, standard_opts=standard_opts, inline=inline)
     capture = StoreCapture()
     report = session.optimize(program, profile=profile, capture=capture)
-    if report.pass_failures:
-        capture.mark_uncacheable("pass failures during optimization")
-    if report.quarantined_functions:
-        capture.mark_uncacheable("certify quarantined a function")
-    entry = capture.build_entry(fingerprint, program)
+    entry = capture.build_entry(fingerprint, program, report)
     stored = entry is not None and store.put(entry)
     return CachedOutcome(
         program=program,

@@ -18,10 +18,11 @@ Reads are **zero-trust** — the load ladder, in order:
    it was loaded from;
 3. IR: the pre-removal text must parse and pass the IR verifier;
 4. **certificate replay**: the entry's witness table is decoded once and
-   its expanded size bounded, then every elimination is re-proved through
-   the independent certify checker against inequality graphs rebuilt from
-   the loaded IR (:func:`repro.certify.driver.replay_elimination`), a
-   function's non-PRE certificates through one replay per (kind, source);
+   its expanded size bounded, then each function's eliminations are
+   re-proved through the independent certify checker against inequality
+   graphs rebuilt from the loaded IR by
+   :func:`repro.certify.driver.replay_function`, the replay loop the
+   ``certify`` pass runs;
 5. only then are the eliminated checks removed, each function that lost
    one verified again, and the program released to the caller.
 
@@ -35,7 +36,7 @@ invariant for the chaos harness to assert.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
@@ -55,7 +56,8 @@ MAX_WITNESS_NODES = MAX_ENTRY_BYTES // 50
 
 @dataclass
 class LoadResult:
-    """Outcome of one :meth:`CertStore.load`."""
+    """Outcome of one :meth:`CertStore.load` (or of one entry's re-check
+    by :meth:`CertStore.verify_all`)."""
 
     status: str  # "hit" | "miss"
     fingerprint: str
@@ -78,16 +80,6 @@ class LoadResult:
         from repro.ir.printer import format_program
 
         return format_program(self.program)
-
-
-@dataclass
-class VerifyResult:
-    """Outcome of re-checking one entry via :meth:`CertStore.verify_all`."""
-
-    fingerprint: str
-    ok: bool
-    reason: Optional[str] = None
-    eliminations: int = 0
 
 
 @dataclass
@@ -185,27 +177,29 @@ class CertStore:
         other outcome is a miss (with the entry quarantined when bytes
         were present but wrong).
         """
+        result = self._climb(fingerprint, config)
+        self.bump("store.hits" if result.hit else "store.misses")
+        return result
+
+    def _climb(
+        self, fingerprint: str, config, absent: Optional[str] = None
+    ) -> LoadResult:
+        """The ladder itself: read, revalidate, and quarantine whatever
+        fails a rung.  A missing entry is a clean miss, or rejected as
+        ``absent`` when the caller expected it to be there."""
         path = self.entry_path(fingerprint)
         entry, reason = self._read_entry(path, fingerprint)
-        if entry is None:
-            if reason is None:
-                self.bump("store.misses")
-                return LoadResult("miss", fingerprint)
-            self._quarantine(path, fingerprint, reason)
-            self.bump("store.misses")
-            return LoadResult("miss", fingerprint, reason=reason)
-        outcome = self._revalidate(entry, config)
-        if outcome.reason is not None:
-            self._quarantine(path, fingerprint, outcome.reason)
-            self.bump("store.misses")
-            return LoadResult("miss", fingerprint, reason=outcome.reason)
-        self.bump("store.hits")
-        return LoadResult(
-            "hit",
-            fingerprint,
-            program=outcome.program,
-            eliminations=outcome.eliminations,
-        )
+        if entry is not None:
+            outcome = self._revalidate(entry, config)
+            if outcome.reason is None:
+                return LoadResult("hit", fingerprint, outcome.program,
+                                  eliminations=outcome.eliminations)
+            reason = outcome.reason
+        reason = reason or absent
+        if reason is None:
+            return LoadResult("miss", fingerprint)
+        self._quarantine(path, fingerprint, reason)
+        return LoadResult("miss", fingerprint, reason=reason)
 
     def _read_entry(self, path: Path, fingerprint: str):
         """Envelope rungs: returns ``(entry, None)``, ``(None, None)``
@@ -238,25 +232,23 @@ class CertStore:
             return _Revalidation(reason=f"replay-error: {exc}")
 
     def _revalidate_inner(self, entry: StoreEntry, config) -> _Revalidation:
+        from repro.certify import driver
         from repro.certify.checker import AssumeContext
-        from repro.certify.driver import fresh_bundle, replay_elimination
         from repro.certify.witness import WitnessDecodeError, decode_witness_table
-        from repro.ir.instructions import CheckLower, CheckUpper, Var
+        from repro.core.abcd import _operand_target
+        from repro.ir.instructions import CheckLower, CheckUpper
         from repro.ir.parser import parse_ir_program
         from repro.ir.verifier import verify_function, verify_program
-        from repro.core.graph import const_node, var_node
 
         try:
             program = parse_ir_program(entry.ir)
             verify_program(program)
         except Exception as exc:
-            self.bump("store.replay_rejected")
-            return _Revalidation(reason=f"ir: {exc}")
+            return self._reject(f"ir: {exc}")
 
         unknown = [n for n in entry.eliminations if n not in program.functions]
         if unknown:
-            self.bump("store.replay_rejected")
-            return _Revalidation(reason=f"shape: unknown functions {unknown}")
+            return self._reject(f"shape: unknown functions {unknown}")
 
         # Decode the whole table once, and bound the replay work its DAG
         # can cause before replaying anything.
@@ -286,75 +278,48 @@ class CertStore:
                 f"certificate: witnesses expand past {MAX_WITNESS_NODES} nodes"
             )
 
+        kinds = {CheckLower: "lower", CheckUpper: "upper"}
         replayed = 0
         removals = []  # (fn, label, instr)
         for name, elims in sorted(entry.eliminations.items()):
             if not elims:
                 continue
             fn = program.functions[name]
-            sites: Dict[tuple, tuple] = {}
-            for label, block in fn.blocks.items():
-                for instr in block.instructions():
-                    if isinstance(instr, CheckLower):
-                        sites[("lower", instr.check_id)] = (label, instr)
-                    elif isinstance(instr, CheckUpper):
-                        sites[("upper", instr.check_id)] = (label, instr)
-            bundle = fresh_bundle(fn, config)
-            gvn_cache: List[Optional[object]] = [None]
-            # One replay per (kind, source) for the function's non-PRE
-            # certificates, as in ``certify_state``.
-            replays: Dict[tuple, object] = {}
+            sites = {
+                (kinds[type(instr)], instr.check_id): (label, instr)
+                for label, block in fn.blocks.items()
+                for instr in block.instructions()
+                if type(instr) in kinds
+            }
+            claims = []
             for elim in elims:
-                located = sites.get((elim.kind, elim.check_id))
-                if located is None:
+                label, instr = sites.get((elim.kind, elim.check_id), (None, None))
+                target = None if instr is None else _operand_target(instr.index)
+                problem = None
+                if instr is None:
+                    problem = "not in the IR"
+                elif elim.array != getattr(instr, "array", None):
+                    problem = "array mismatch"
+                elif nodes[elim.target] != target:
+                    problem = "target mismatch"
+                elif elim.pre and instr.guard_group is None:
+                    problem = "PRE without guard group"
+                if problem is not None:
                     return self._reject(
-                        f"certificate: {name}#{elim.check_id} not in the IR"
-                    )
-                label, instr = located
-                array = getattr(instr, "array", None)
-                if elim.array != array:
-                    return self._reject(
-                        f"certificate: {name}#{elim.check_id} array mismatch"
-                    )
-                operand = instr.index
-                target = (
-                    var_node(operand.name)
-                    if isinstance(operand, Var)
-                    else const_node(operand.value)
-                )
-                if nodes[elim.target] != target:
-                    return self._reject(
-                        f"certificate: {name}#{elim.check_id} target mismatch"
+                        f"certificate: {name}#{elim.check_id} {problem}"
                     )
                 assume = None
                 if elim.pre:
-                    if instr.guard_group is None:
-                        return self._reject(
-                            f"certificate: {name}#{elim.check_id} "
-                            "PRE without guard group"
-                        )
                     assume = AssumeContext(fn, elim.kind, elim.array, instr.guard_group)
-                reason = replay_elimination(
-                    fn,
-                    bundle,
-                    kind=elim.kind,
-                    array=elim.array,
-                    target=target,
-                    witness=witnesses[elim.witness],
-                    cert_source=(
-                        None if elim.cert_source is None else nodes[elim.cert_source]
-                    ),
-                    assume=assume,
-                    gvn_cache=gvn_cache,
-                    replays=None if elim.pre else replays,
-                )
-                if reason is not None:
-                    return self._reject(
-                        f"certificate: {name}#{elim.check_id} {reason}"
-                    )
-                replayed += 1
-                if not elim.pre:
+                else:
                     removals.append((fn, label, instr))
+                source = None if elim.cert_source is None else nodes[elim.cert_source]
+                claims.append(driver.Claim(elim.kind, elim.array, target,
+                                           witnesses[elim.witness], source, assume))
+            for elim, reason in zip(elims, driver.replay_function(fn, config, claims)):
+                if reason is not None:
+                    return self._reject(f"certificate: {name}#{elim.check_id} {reason}")
+            replayed += len(claims)
 
         # Every certificate re-checked; only now may checks disappear.
         for fn, label, instr in removals:
@@ -365,8 +330,7 @@ class CertStore:
             for fn in {id(fn): fn for fn, _, _ in removals}.values():
                 verify_function(fn)
         except Exception as exc:
-            self.bump("store.replay_rejected")
-            return _Revalidation(reason=f"ir-post: {exc}")
+            return self._reject(f"ir-post: {exc}")
         self.bump("store.replay_ok")
         return _Revalidation(program=program, eliminations=replayed)
 
@@ -393,30 +357,13 @@ class CertStore:
     # Maintenance (the `repro cache` verbs).
     # ------------------------------------------------------------------
 
-    def verify_all(self, config) -> List[VerifyResult]:
-        """Re-run the full ladder over every entry; quarantine failures."""
-        results: List[VerifyResult] = []
-        for fingerprint in list(self.iter_fingerprints()):
-            path = self.entry_path(fingerprint)
-            entry, reason = self._read_entry(path, fingerprint)
-            if entry is None:
-                reason = reason or "unreadable"
-                self._quarantine(path, fingerprint, reason)
-                results.append(VerifyResult(fingerprint, ok=False, reason=reason))
-                continue
-            outcome = self._revalidate(entry, config)
-            if outcome.reason is not None:
-                self._quarantine(path, fingerprint, outcome.reason)
-                results.append(
-                    VerifyResult(fingerprint, ok=False, reason=outcome.reason)
-                )
-            else:
-                results.append(
-                    VerifyResult(
-                        fingerprint, ok=True, eliminations=outcome.eliminations
-                    )
-                )
-        return results
+    def verify_all(self, config) -> List[LoadResult]:
+        """Re-run the full ladder over every entry; quarantine failures.
+        Unlike :meth:`load`, this counts neither hits nor misses."""
+        return [
+            self._climb(fingerprint, config, absent="unreadable")
+            for fingerprint in list(self.iter_fingerprints())
+        ]
 
     def evict(self, fingerprint: str) -> bool:
         """Remove one entry; ``True`` when it existed."""

@@ -23,6 +23,7 @@ from repro.certify import (
     certify_state,
     check_witness,
 )
+from repro.certify import driver
 from repro.certify.checker import _Replay
 from repro.certify.witness import (
     AxiomWitness,
@@ -334,10 +335,16 @@ fn main(): int {
 """
 
 
+@pytest.fixture
+def no_quarantine(monkeypatch):
+    """Each rejection revokes its own elimination; none quarantines."""
+    monkeypatch.setattr(driver, "QUARANTINE_AFTER", 99)
+
+
 def _lower_pair():
     program = compile_source(TWO_ARRAY_SRC)
     fn = program.functions["main"]
-    config = ABCDConfig(certify=True, certify_quarantine=99)
+    config = ABCDConfig(certify=True)
     state = abcd_module.analyze_checks(fn, program, config)
     records = {a.check_id: a for a in state.analyses}
     first, second = (
@@ -406,7 +413,7 @@ class TestPerFunctionReplay:
         with pytest.raises(CertificateRejected, match="not active"):
             replay.check(q, 0, escaping)
 
-    def test_rejection_inside_phi_leaves_the_replay_usable(self):
+    def test_rejection_inside_phi_leaves_the_replay_usable(self, no_quarantine):
         fn, state, config, first, second = _lower_pair()
         first.witness = _rewrite_first_phi(first.witness, _tighten_last_branch)
         verdicts = _statuses(certify_state(fn, state, config))
@@ -415,7 +422,7 @@ class TestPerFunctionReplay:
             "accepted",
         )
 
-    def test_rejection_inside_phi_leaves_no_active_vertex(self):
+    def test_rejection_inside_phi_leaves_no_active_vertex(self, no_quarantine):
         # The first walk is abandoned with the loop φ active; a forged
         # cycle closing on that φ in the next certificate must not find
         # it still active.
@@ -430,7 +437,7 @@ class TestPerFunctionReplay:
             "rejected",
         )
 
-    def test_forged_certificate_after_a_valid_one_rejected(self):
+    def test_forged_certificate_after_a_valid_one_rejected(self, no_quarantine):
         # The second certificate hands the first one's whole witness,
         # verified and cached a moment ago, to an obligation on another
         # vertex.
@@ -442,7 +449,9 @@ class TestPerFunctionReplay:
             "rejected",
         )
 
-    def test_subtree_verified_under_one_source_rechecked_under_another(self):
+    def test_subtree_verified_under_one_source_rechecked_under_another(
+        self, no_quarantine
+    ):
         # ``c[i]`` is proven by a Section-7.1 retry against ``len(b)``,
         # and ``b[i]``'s proof reuses it from the memo.  With ``b[i]``
         # replayed first, a ``c[i]`` certificate claiming ``len(c)`` as
@@ -450,7 +459,7 @@ class TestPerFunctionReplay:
         # ``len(b)`` source axiom fails.
         program = compile_source(CONGRUENT_SRC)
         fn = program.functions["f"]
-        config = ABCDConfig(certify=True, certify_quarantine=99)
+        config = ABCDConfig(certify=True)
         state = abcd_module.analyze_checks(fn, program, config)
         retried = next(a for a in state.analyses if a.via_gvn)
         direct = next(
@@ -527,8 +536,8 @@ class TestRevocationLadder:
         assert [v.status for v in verdicts] == ["accepted", "accepted"]
         assert len(state.to_remove) == 2
 
-    def test_single_rejection_revokes_exactly_that_check(self):
-        config = ABCDConfig(certify=True, certify_quarantine=99)
+    def test_single_rejection_revokes_exactly_that_check(self, no_quarantine):
+        config = ABCDConfig(certify=True)
         _, fn, state, records = _analyzed_state(config)
         victim = state.to_remove[0]
         record = records[victim.instr.check_id]
@@ -541,8 +550,9 @@ class TestRevocationLadder:
         assert len(state.to_remove) == 1
         assert report.quarantined_functions == []
 
-    def test_repeated_rejections_quarantine_the_function(self):
-        config = ABCDConfig(certify=True, certify_quarantine=2)
+    def test_repeated_rejections_quarantine_the_function(self, monkeypatch):
+        monkeypatch.setattr(driver, "QUARANTINE_AFTER", 2)
+        config = ABCDConfig(certify=True)
         _, fn, state, records = _analyzed_state(config)
         for site in state.to_remove:
             records[site.instr.check_id].witness = None
@@ -559,7 +569,7 @@ class TestRevocationLadder:
         with pytest.raises(CertificateError, match="certificate rejected"):
             certify_state(fn, state, config)
 
-    def test_revoked_check_stays_in_the_program(self):
+    def test_revoked_check_stays_in_the_program(self, no_quarantine):
         # End-to-end through the pass pipeline: corrupt one witness, run
         # certify mode, and verify the revoked check still executes.
         from repro.core.solver import DemandProver as Prover
@@ -578,7 +588,7 @@ class TestRevocationLadder:
         Prover.demand_prove = corrupt_first
         try:
             report = abcd(
-                program, config=ABCDConfig(certify=True, certify_quarantine=99)
+                program, config=ABCDConfig(certify=True)
             )
         finally:
             Prover.demand_prove = real

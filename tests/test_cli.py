@@ -143,6 +143,41 @@ fn main(): int {
         assert "checks: 32" in out  # nothing proven, every check retained
 
 
+class TestCertifyFlag:
+    """``optimize --certify`` is the one verb that reports certificates."""
+
+    def test_prints_every_verdict(self, source_file, capsys):
+        assert main(["optimize", source_file, "--certify"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("cert:accepted") == 4
+        assert "certificates: 4 emitted, 4 accepted, 0 rejected, 0 revoked" in out
+
+    def test_json_is_the_certificate_payload(self, source_file, capsys):
+        import json
+
+        from repro.certify import certificates_to_json
+        from repro.core.abcd import ABCDConfig
+        from repro.passes.session import CompilationSession
+
+        assert main(["optimize", source_file, "--certify", "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        session = CompilationSession(config=ABCDConfig(certify=True))
+        report = session.optimize(session.compile(SRC))
+        assert printed == certificates_to_json(report)
+        assert printed["summary"]["accepted"] == 4
+
+    def test_rejected_certificate_exits_1(self, capsys):
+        from repro.bench.corpus import get
+        from repro.robustness.faults import FAULTS
+
+        with FAULTS["cert-corrupt-edge-weight"].inject():
+            status = main(["optimize", str(get("Sieve").path), "--certify"])
+        out = capsys.readouterr().out
+        assert status == 1
+        assert "certificates: 5 emitted, 0 accepted, 5 rejected, 5 revoked" in out
+        assert "quarantined: sieve" in out
+
+
 class TestIRAndDot:
     def test_ir_whole_program(self, source_file, capsys):
         assert main(["ir", source_file]) == 0

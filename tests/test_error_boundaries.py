@@ -122,6 +122,30 @@ b1:
 }"""
 
 
+PHI_IN_ENTRY_IR = """fn main() {
+entry0:
+    y.1 := phi(other: 2)
+    return y.1
+}"""
+
+
+# The φ has no value for edge3, but the run takes then1.
+PHI_WITHOUT_UNTAKEN_EDGE_IR = """fn main() {
+entry0:
+    c.0 := 0
+    %c0.0 := cmp.lt c.0, 1
+    branch %c0.0 ? then1 : edge3
+edge3:
+    jump join2
+then1:
+    y.1 := 2
+    jump join2
+join2:
+    y.2 := phi(then1: y.1)
+    return y.2
+}"""
+
+
 class TestRuntimeBoundaries:
     def test_interpreter_unknown_function(self):
         program = compile_source("fn main(): int { return 1; }")
@@ -163,6 +187,37 @@ class TestRuntimeBoundaries:
         for text in (PI_OF_UNSET_IR, PHI_WITHOUT_EDGE_IR):
             outcome = execute_outcome(parse_ir_program(text))
             assert outcome.trap == "MiniJRuntimeError"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            PI_OF_UNSET_IR,
+            PHI_WITHOUT_EDGE_IR,
+            PHI_IN_ENTRY_IR,
+            PHI_WITHOUT_UNTAKEN_EDGE_IR,
+        ],
+        ids=["pi-of-unset", "phi-without-edge", "phi-in-entry", "phi-edge-not-taken"],
+    )
+    def test_generated_code_ends_the_run_like_the_interpreter(self, text):
+        """Same value or trap (class and message) and every counter
+        equal: the generated code compiles a φ that lacks an edge and
+        traps only when the run takes that edge."""
+        from repro.fuzz.oracle import CODEGEN_COUNTERS
+        from repro.robustness.differential import ExecutionOutcome
+        from repro.runtime.interpreter import Interpreter
+
+        ends = []
+        for tier in (
+            Interpreter(parse_ir_program(text)),
+            compile_to_python(parse_ir_program(text)),
+        ):
+            try:
+                outcome = ExecutionOutcome(value=tier.run("main").value)
+            except MiniJRuntimeError as exc:
+                outcome = ExecutionOutcome.from_trap(exc)
+            counters = {name: getattr(tier.stats, name) for name in CODEGEN_COUNTERS}
+            ends.append((outcome, counters))
+        assert ends[0] == ends[1]
 
     def test_codegen_unknown_function(self):
         program = compile_source("fn main(): int { return 1; }")

@@ -79,3 +79,55 @@ class TestRoundTrip:
         program = compile_source(SRC)
         abcd(program)
         verify_program(program)
+
+
+def _force_pre_and_strict(config):
+    program = compile_source(SRC)
+    abcd(program, config=config, pre=True, strict=True, profile=profile(program))
+
+
+def _strict_session(config):
+    from repro.passes.session import CompilationSession
+
+    CompilationSession(config, strict=True)
+
+
+def _measure_with_pre(config):
+    from repro.bench.harness import measure_program
+
+    measure_program(compile_source(SRC), config=config, pre=True)
+
+
+def _strict_gate(config):
+    from repro.robustness.differential import gated_optimize
+
+    gated_optimize(compile_source(SRC), config, strict=True)
+
+
+class TestCallersConfigIsLeftAsPassed:
+    """Entry points that force a flag force it on a copy of the config."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [_force_pre_and_strict, _strict_session, _measure_with_pre, _strict_gate],
+        ids=[
+            "pipeline.abcd",
+            "CompilationSession",
+            "measure_program",
+            "gated_optimize",
+        ],
+    )
+    def test_entry_point(self, entry):
+        config = ABCDConfig()
+        entry(config)
+        assert config == ABCDConfig()
+
+    def test_pre_run_does_not_leak_into_the_next_run(self):
+        from repro.bench.corpus import get
+        from repro.bench.harness import run_benchmark
+
+        config = ABCDConfig()
+        with_pre = run_benchmark(get("bytemark"), config=config, pre=True)
+        without = run_benchmark(get("bytemark"), config=config, pre=False)
+        assert with_pre.report.pre_transformed > 0
+        assert without.report.pre_transformed == 0

@@ -808,11 +808,12 @@ class TestServeCache:
             sup.shutdown()
 
     def test_gate_reverted_results_are_not_cached(self, tmp_path):
+        from repro.core.abcd import ABCDReport
         from repro.store.capture import StoreCapture
 
         capture = StoreCapture()
         capture.mark_uncacheable("differential gate reverted")
-        assert capture.build_entry("ff" * 32, None) is None
+        assert capture.build_entry("ff" * 32, None, ABCDReport()) is None
 
     def test_unusable_cache_dir_degrades_to_no_caching(self, tmp_path):
         blocker = tmp_path / "blocked"

@@ -127,7 +127,7 @@ class TestFingerprint:
             SUM_SOURCE, changed
         )
 
-    @pytest.mark.parametrize("field", ["certify", "strict", "certify_quarantine"])
+    @pytest.mark.parametrize("field", ["certify", "strict"])
     def test_checking_only_flags_do_not_change_the_key(self, field):
         # These flags change how much checking happens, never what code
         # comes out — a certified entry must serve an uncertified caller.
@@ -666,7 +666,7 @@ class TestTableRoundTrip:
         program = session.compile(source)
         capture = StoreCapture()
         report = session.optimize(program, capture=capture)
-        entry = capture.build_entry("ef" * 32, program)
+        entry = capture.build_entry("ef" * 32, program, report)
         if entry is None:
             return  # uncacheable: nothing is stored
         originals = {(a.function, a.check_id): a.witness for a in report.analyses}
@@ -741,10 +741,10 @@ class TestMaintenance:
         DISK_FAULTS["disk-flip-payload-byte"].corrupt(store.entry_path(fp_two))
         results = store.verify_all(ABCDConfig())
         verdicts = {r.fingerprint: r for r in results}
-        assert verdicts[fp_one].ok and verdicts[fp_one].eliminations > 0
-        assert not verdicts[fp_two].ok
+        assert verdicts[fp_one].hit and verdicts[fp_one].eliminations > 0
+        assert not verdicts[fp_two].hit
         # Second pass: the store healed itself by quarantining.
-        assert all(r.ok for r in store.verify_all(ABCDConfig()))
+        assert all(r.hit for r in store.verify_all(ABCDConfig()))
 
     def test_evict_and_gc(self, tmp_path):
         store = store_at(tmp_path)
@@ -785,3 +785,39 @@ class TestGeneratedPrograms:
             # Uncacheable programs must stay uncacheable, never wrong.
             assert not warm.hit
         assert store.invariant_violations() == 0
+
+
+# ----------------------------------------------------------------------
+# One replay loop for the certify pass and the load ladder.
+# ----------------------------------------------------------------------
+
+
+class TestOneReplayLoop:
+    def test_compile_and_load_each_replay_once_per_eliminating_function(
+        self, tmp_path, monkeypatch
+    ):
+        """A certified compile and a store load both re-prove through
+        ``replay_function``, once per function that has eliminations, so
+        a second replay loop cannot come back unnoticed."""
+        from repro.bench.corpus import get
+        from repro.certify import driver
+
+        calls = []
+        real = driver.replay_function
+
+        def counted(fn, config, claims):
+            calls.append(fn.name)
+            return real(fn, config, claims)
+
+        monkeypatch.setattr(driver, "replay_function", counted)
+        store = store_at(tmp_path)
+        outcome, fingerprint = populate(store, get("jack").source())
+        eliminating = sorted(
+            {a.function for a in outcome.report.analyses if a.eliminated}
+        )
+        assert 0 < len(eliminating) < len(outcome.program.functions)
+        assert sorted(calls) == eliminating
+        calls.clear()
+        loaded = store.load(fingerprint, ABCDConfig())
+        assert loaded.hit
+        assert sorted(calls) == eliminating
