@@ -117,10 +117,6 @@ class _FunctionLowerer:
                 # stays well-formed.
                 self._terminate(Return(Const(0)))
         self.fn.remove_unreachable_blocks()
-        # Build the def-use index once, here at the IR's birth; from now
-        # on it is maintained incrementally by the Function mutator API
-        # (and rebuilt by the few passes that rename wholesale).
-        self.fn.rebuild_def_use()
         return self.fn
 
     def _lower_block(self, statements: List[ast.Stmt]) -> None:

@@ -13,9 +13,10 @@ the interpreter exactly:
 * φs are compiled as parallel assignments on each incoming edge
   (the function is SSA-destructed-on-the-fly: the generated code assigns
   φ destinations at the end of each predecessor);
-* on IR the verifier would reject, a read of an unset variable and a φ
-  with no value for the edge taken trap with the interpreter's
-  :class:`MiniJRuntimeError` message, when the run reaches them.
+* on IR the verifier would reject, a read of an unset variable (as an
+  array operand: "not an array") and a φ with no value for the edge
+  taken trap with the interpreter's :class:`MiniJRuntimeError` message
+  and counters, when the run reaches them.
 
 Differential tests (``tests/test_codegen.py``) run random and corpus
 programs through both tiers and require identical results and counters.
@@ -24,7 +25,7 @@ programs through both tiers and require identical results and counters.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import BoundsCheckError, MiniJRuntimeError
 from repro.ir.function import Function, Program
@@ -103,9 +104,19 @@ class _FunctionCompiler:
         self._fn = fn
         self._lines: List[str] = []
         self._indent = 2
+        #: Line number -> the IR variable that line reads as an array.
+        self.array_lines: Dict[int, str] = {}
 
     def emit(self, text: str) -> None:
         self._lines.append("    " * self._indent + text)
+
+    def _reads_array(self, array: str, index: Optional[Operand] = None) -> None:
+        """Mark the next line as reading ``array`` as an array operand:
+        there, a NameError for ``array`` is the interpreter's "not an
+        array" trap, unless ``index``, which the line reads first, is the
+        same variable."""
+        if index != Var(array):
+            self.array_lines[len(self._lines) + 1] = array
 
     def compile(self) -> str:
         fn = self._fn
@@ -206,20 +217,25 @@ class _FunctionCompiler:
         elif isinstance(instr, BinOp):
             dest = _mangle(instr.dest)
             lhs, rhs = _operand(instr.lhs), _operand(instr.rhs)
+            # Cycles are charged once both operands are read, as the
+            # interpreter does: an unset operand traps with the
+            # instruction counted and no cycles.
+            self.emit("_stats.instructions += 1")
+            reads = [_operand(op) for op in (instr.lhs, instr.rhs)
+                     if isinstance(op, Var)]
+            if reads:
+                self.emit(f"({', '.join(reads)},)")
+            cost = "binop" if instr.op in ("add", "sub", "mul") else "div"
+            self.emit(f"_stats.cycles += _costs['{cost}']")
             if instr.op == "add":
-                self._count("binop")
                 self.emit(f"{dest} = {lhs} + {rhs}")
             elif instr.op == "sub":
-                self._count("binop")
                 self.emit(f"{dest} = {lhs} - {rhs}")
             elif instr.op == "mul":
-                self._count("binop")
                 self.emit(f"{dest} = {lhs} * {rhs}")
             elif instr.op == "div":
-                self._count("div")
                 self.emit(f"{dest} = _div({lhs}, {rhs})")
             else:
-                self._count("div")
                 self.emit(f"{dest} = _mod({lhs}, {rhs})")
         elif isinstance(instr, Cmp):
             self._count("cmp")
@@ -233,15 +249,18 @@ class _FunctionCompiler:
             self.emit(f"{_mangle(instr.dest)} = _ArrayValue({_operand(instr.length)})")
         elif isinstance(instr, ArrayLen):
             self._count("arraylen")
+            self._reads_array(instr.array)
             self.emit(f"{_mangle(instr.dest)} = len({_mangle(instr.array)}.data)")
         elif isinstance(instr, ArrayLoad):
             self._count("arrayload")
+            self._reads_array(instr.array)
             self.emit(
                 f"{_mangle(instr.dest)} = _load("
                 f"{_mangle(instr.array)}, {_operand(instr.index)})"
             )
         elif isinstance(instr, ArrayStore):
             self._count("arraystore")
+            self._reads_array(instr.array)
             self.emit(
                 f"_store({_mangle(instr.array)}, {_operand(instr.index)}, "
                 f"{_operand(instr.value)})"
@@ -265,6 +284,7 @@ class _FunctionCompiler:
             self.emit(f"_stats.cycles += _costs['checkupper']")
             index = _operand(instr.index)
             array = _mangle(instr.array)
+            self._reads_array(instr.array, instr.index)
             self.emit(
                 f"if {index} >= len({array}.data): "
                 f"raise _BoundsError({instr.check_id}, {index}, "
@@ -282,10 +302,12 @@ class _FunctionCompiler:
             self.emit("_stats.cycles += _costs['checkunsigned']")
             index = _operand(instr.index)
             array = _mangle(instr.array)
+            self._reads_array(instr.array, instr.index)
             self.emit(
                 f"if {index} < 0: raise _BoundsError({instr.lower_id}, "
                 f"{index}, len({array}.data), 'lower')"
             )
+            self._reads_array(instr.array, instr.index)
             self.emit(
                 f"if {index} >= len({array}.data): raise _BoundsError("
                 f"{instr.upper_id}, {index}, len({array}.data), 'upper')"
@@ -299,6 +321,7 @@ class _FunctionCompiler:
             index = _operand(instr.index)
             if instr.kind == "upper":
                 condition = f"{index} >= len({_mangle(instr.array)}.data)"
+                self._reads_array(instr.array, instr.index)
             else:
                 condition = f"{index} < 0"
             self.emit(f"if {condition}:")
@@ -333,6 +356,7 @@ class CompiledProgram:
     def __init__(self, program: Program) -> None:
         self.stats = ExecutionStats()
         self._functions: Dict[str, object] = {}
+        self._array_lines: Dict[str, Dict[int, str]] = {}
         self.sources: Dict[str, str] = {}
         namespace = {
             "_stats": self.stats,
@@ -347,7 +371,9 @@ class CompiledProgram:
             "_functions": self._functions,
         }
         for fn in program.functions.values():
-            source = _FunctionCompiler(fn).compile()
+            compiler = _FunctionCompiler(fn)
+            source = compiler.compile()
+            self._array_lines[fn.name] = compiler.array_lines
             self.sources[fn.name] = source
             exec(compile(source, f"<repro:{fn.name}>", "exec"), namespace)
             self._functions[fn.name] = namespace[fn.name]
@@ -376,10 +402,21 @@ class CompiledProgram:
             identifier = re.search(r"'(v_\w+)'", str(exc))
             if identifier is None:
                 raise
-            raise MiniJRuntimeError(
-                f"read of unset variable {_unmangle(identifier.group(1))!r}"
-            ) from None
+            name = _unmangle(identifier.group(1))
+            if self._read_as_array(exc.__traceback__, name):
+                message = f"{name!r} is not an array (got None)"
+            else:
+                message = f"read of unset variable {name!r}"
+            raise MiniJRuntimeError(message) from None
         return ExecutionResult(value, self.stats)
+
+    def _read_as_array(self, traceback, name: str) -> bool:
+        """Whether the generated line that raised read ``name`` as an
+        array operand (the innermost frame is the generated function)."""
+        while traceback.tb_next is not None:
+            traceback = traceback.tb_next
+        lines = self._array_lines.get(traceback.tb_frame.f_code.co_name, {})
+        return lines.get(traceback.tb_lineno) == name
 
 
 def _checked_load(array: ArrayValue, index: int) -> int:

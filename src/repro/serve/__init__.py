@@ -1,7 +1,7 @@
 """The crash-isolated compile service (``repro serve``).
 
 A long-running supervisor process dispatches each compile/run request to
-a pool of worker subprocesses, so a segfault, hang, or memory blowup in
+a pool of forked worker processes, so a segfault, hang, or memory blowup in
 any optimization pass is a recoverable event — the paper's Jalapeño
 setting, where the optimizer lives inside a VM that must never die.
 
@@ -9,12 +9,13 @@ Layers (each its own module):
 
 * :mod:`repro.serve.protocol` — newline-delimited JSON framing shared by
   clients, the supervisor, and workers;
-* :mod:`repro.serve.worker` — the sandboxed subprocess that actually
-  compiles, optimizes (behind the differential gate), and executes;
+* :mod:`repro.serve.worker` — the sandboxed worker process that
+  actually compiles, optimizes (behind the differential gate), and
+  executes;
 * :mod:`repro.serve.breaker` — the per-function-fingerprint circuit
   breaker that routes repeatedly failing fingerprints to degraded
   (unoptimized, checks-intact) compilation;
-* :mod:`repro.serve.supervisor` — worker lifecycle (spawn/recycle/kill),
+* :mod:`repro.serve.supervisor` — worker lifecycle (fork/recycle/kill),
   per-request deadlines, retry with full-jitter exponential backoff, and
   the stdio / Unix-socket serve loops;
 * :mod:`repro.serve.overload` — admission control (bounded queue +
@@ -27,7 +28,8 @@ Layers (each its own module):
   no-lost-request / degraded-but-correct guarantees.
 
 The package re-exports nothing: import from the module that defines a
-name.  A worker imports only :mod:`~repro.serve.protocol` and
-:mod:`~repro.serve.worker` from here, so supervisor, breaker, overload
-and harness code stay off its import path.
+name.  ``python -m repro.serve.worker`` imports only
+:mod:`~repro.serve.protocol` and :mod:`~repro.serve.worker` from here, so
+supervisor, breaker, overload and harness code stay off its import path;
+a forked worker holds whatever its supervisor imported.
 """

@@ -40,7 +40,9 @@ killed in real seconds).
 from __future__ import annotations
 
 import contextlib
+import os
 import random
+import signal
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import (
@@ -928,7 +930,7 @@ def _kill_random_worker(supervisor: Supervisor, rng: random.Random) -> bool:
     if not live:
         return False
     try:
-        rng.choice(live).proc.kill()
+        os.kill(rng.choice(live).pid, signal.SIGKILL)
     except OSError:
         return False
     return True

@@ -3,7 +3,7 @@ circuit breaking, and graceful degradation.
 
 The supervisor is the process that must never die.  It therefore does no
 compilation work itself: every ``run``/``compile`` request that needs a
-compile or an execution is written to a worker subprocess and the
+compile or an execution is written to a worker process and the
 response read back under a **supervisor-side wall-clock deadline** (a
 ``select`` timeout on the worker's pipe — not ``SIGALRM``, which fires
 in whichever process armed it and so cannot bound a *different*
@@ -26,6 +26,10 @@ service can always reach — if even degraded dispatch fails (the pool is
 being actively massacred), the supervisor compiles degraded *in-process*
 as the final fallback, so no request is ever lost.
 
+Workers are forks of the supervisor: importing this module imports
+:mod:`repro.serve.worker` and with it the worker's whole request path,
+so starting a worker costs a fork, not an interpreter start-up.
+
 Workers are recycled after ``recycle_after`` requests (a leaking or
 fragmenting worker has a bounded lifetime) and drained cleanly on
 SIGTERM/SIGINT: the in-flight request finishes, workers get a shutdown
@@ -42,11 +46,10 @@ import os
 import random
 import select
 import signal
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Tuple
 
 from repro.passes.manager import SessionStats
 from repro.serve import protocol
@@ -59,7 +62,7 @@ from repro.serve.overload import (
     OverloadConfig,
     OverloadController,
 )
-from repro.serve.worker import CHAOS_ENV
+from repro.serve import worker as worker_module
 
 
 @dataclass
@@ -133,47 +136,42 @@ class WorkerTimeout(Exception):
 
 
 class WorkerHandle:
-    """One worker subprocess plus its framed pipes."""
+    """One forked worker process plus its framed pipes."""
 
     def __init__(self, config: ServeConfig) -> None:
-        argv = [sys.executable, "-m", "repro.serve.worker"]
-        if config.mem_mb > 0:
-            argv += ["--mem-mb", str(config.mem_mb)]
-        env = dict(os.environ)
-        # Workers must import repro regardless of how the supervisor was
-        # launched (installed package or PYTHONPATH=src checkout).
-        package_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))
-        )
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            package_root if not existing else package_root + os.pathsep + existing
-        )
-        if config.chaos:
-            env[CHAOS_ENV] = "1"
-        else:
-            env.pop(CHAOS_ENV, None)
-        self.proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            env=env,
-        )
+        # The request pipe is opened first, so no response-pipe
+        # descriptor is 0: the child's dup2 onto fd 0 cannot overwrite
+        # the end it moves onto fd 1 next.
+        request_read, request_write = os.pipe()
+        response_read, response_write = os.pipe()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        pid = os.fork()
+        if pid == 0:
+            _run_forked_worker(request_read, response_write, config)
+        os.close(request_read)
+        os.close(response_write)
+        self.pid = pid
         self.served = 0
+        self._stdin = open(request_write, "wb")
+        self._stdout = open(response_read, "rb", buffering=0)
         self._buffer = b""
-
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
+        self._reaped = False
 
     def alive(self) -> bool:
-        return self.proc.poll() is None
+        """Whether the worker still runs; one that has exited is reaped."""
+        if not self._reaped:
+            try:
+                self._reaped = os.waitpid(self.pid, os.WNOHANG)[0] != 0
+            except ChildProcessError:
+                self._reaped = True
+        return not self._reaped
 
     def send(self, frame: Dict[str, Any]) -> None:
         try:
-            self.proc.stdin.write(protocol.encode_frame(frame))
-            self.proc.stdin.flush()
+            self._stdin.write(protocol.encode_frame(frame))
+            self._stdin.flush()
         except (BrokenPipeError, OSError, ValueError) as exc:
             raise WorkerDied(f"worker {self.pid} pipe closed: {exc}") from None
 
@@ -184,7 +182,7 @@ class WorkerHandle:
         :class:`WorkerDied` on EOF, and
         :class:`~repro.serve.protocol.ProtocolError` on garbage.
         """
-        fd = self.proc.stdout.fileno()
+        fd = self._stdout.fileno()
         deadline = clock() + timeout
         while b"\n" not in self._buffer:
             if len(self._buffer) > protocol.MAX_FRAME_BYTES:
@@ -209,14 +207,11 @@ class WorkerHandle:
     def kill(self) -> None:
         if self.alive():
             try:
-                self.proc.kill()
+                os.kill(self.pid, signal.SIGKILL)
             except OSError:
                 pass
         self._close_pipes()
-        try:
-            self.proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:  # pragma: no cover - kernel lag
-            pass
+        self._reap(5.0)
 
     def shutdown(self, grace: float = 1.0) -> None:
         """Polite drain: shutdown frame, short wait, then the hammer."""
@@ -225,19 +220,53 @@ class WorkerHandle:
                 self.send({"op": "shutdown"})
             except WorkerDied:
                 pass
-            try:
-                self.proc.wait(timeout=grace)
-            except subprocess.TimeoutExpired:
-                pass
+            self._reap(grace)
         self.kill()
 
+    def _reap(self, timeout: float) -> None:
+        """Wait up to ``timeout`` seconds for the worker to exit."""
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.alive() and time.monotonic() < deadline:
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
+
     def _close_pipes(self) -> None:
-        for pipe in (self.proc.stdin, self.proc.stdout):
-            if pipe is not None:
-                try:
-                    pipe.close()
-                except OSError:
-                    pass
+        for pipe in (self._stdin, self._stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass
+
+
+def _run_forked_worker(
+    request_fd: int, response_fd: int, config: ServeConfig
+) -> NoReturn:
+    """The forked child: serve on the two pipes until EOF, then exit.
+
+    It keeps nothing of the supervisor's I/O: fds 0, 1 and 2 become the
+    request pipe, the response pipe and ``/dev/null``, every other
+    descriptor is closed (a sibling's copy of a worker's request pipe
+    would keep that worker from ever seeing EOF), and the signals the
+    supervisor handles get their default actions back.  It leaves through
+    ``os._exit``, so it never returns into the supervisor's stack nor
+    runs its atexit handlers.
+    """
+    status = 1
+    try:
+        os.dup2(request_fd, 0)
+        os.dup2(response_fd, 1)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGALRM):
+            signal.signal(signum, signal.SIG_DFL)
+        if config.chaos:
+            os.environ[worker_module.CHAOS_ENV] = "1"
+        else:
+            os.environ.pop(worker_module.CHAOS_ENV, None)
+        status = worker_module.main(["--mem-mb", str(config.mem_mb)])
+    finally:
+        os._exit(status)
 
 
 class _DrainRequested(Exception):
@@ -635,11 +664,9 @@ class Supervisor:
         # The pool is being massacred: serve degraded in-process.  This
         # reuses the worker's own request handler, behind the worker
         # loop's last-ditch handler, as a plain library call — same
-        # compile path, same response shape, no subprocess, and an
+        # compile path, same response shape, no worker process, and an
         # exception becomes a ``failure`` response, never a dead
         # supervisor.
-        from repro.serve import worker as worker_module
-
         self.stats.bump("serve.inline-fallback")
         inline_frame = dict(frame)
         inline_frame["mode"] = "degraded"

@@ -1,9 +1,14 @@
-"""The compile-service worker subprocess (``python -m repro.serve.worker``).
+"""The compile-service worker process.
 
-One worker serves one request at a time: frames arrive on stdin, the
-response leaves on stdout, and *everything dangerous happens here* — the
+One worker serves one request at a time: frames arrive on fd 0, the
+response leaves on fd 1, and *everything dangerous happens here* — the
 supervisor never compiles, optimizes, or interprets in its own process.
-The worker's defenses are layered:
+
+The supervisor imports this module, and with it the whole request path,
+before it forks its first worker; each worker is a fork of the
+supervisor that calls :func:`main`.  ``python -m repro.serve.worker``
+runs the same :func:`main` in a fresh interpreter.  The worker's
+defenses are layered:
 
 * an ``RLIMIT_AS`` address-space cap (``--mem-mb``) turns allocation
   blowups into a contained ``MemoryError`` → ``"failure"`` response;
@@ -30,13 +35,27 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from typing import Any, Dict, Optional
 
+# The pass registry imports these when a pass first runs; importing them
+# here makes ``import repro.serve.worker`` load the whole request path.
+import repro.ir.defuse  # noqa: F401
+import repro.opt  # noqa: F401
+import repro.opt.inline  # noqa: F401
+import repro.ssa.essa  # noqa: F401
 from repro.core.abcd import ABCDConfig
 from repro.errors import ReproError
+from repro.ir import parser as ir_parser
+from repro.ir import verifier
 from repro.limits import HardDeadlineExceeded, address_space_cap, hard_deadline
+from repro.passes.session import CompilationSession
+from repro.robustness.differential import execute_counted, gated_optimize
 from repro.serve import protocol
+from repro.store.capture import StoreCapture
+from repro.store.entry import entry_payload
+from repro.store.service import certifying_config
 
 #: Environment variable that arms chaos: set (non-empty) ⇒ the worker
 #: runs each request's named ``"chaos"`` fault; unset ⇒ the field is
@@ -48,8 +67,6 @@ def _execute(program, fn: str, args, fuel: int) -> Dict[str, Any]:
     """Run ``fn(args)`` and capture outcome *and* dynamic counters, which
     survive a trap: a degraded response must report its intact checks
     even when the program traps."""
-    from repro.robustness.differential import execute_counted
-
     outcome, stats = execute_counted(program, fn, tuple(args), fuel)
     return {
         **vars(outcome),
@@ -83,8 +100,10 @@ def _maybe_inject_chaos(
 
 
 def _raw_write(data: bytes) -> None:
-    sys.stdout.buffer.write(data)
-    sys.stdout.buffer.flush()
+    """Write ``data`` to the response pipe (fd 1) in full, unbuffered."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(1, view):]
 
 
 def _attach_store_entry(
@@ -103,8 +122,6 @@ def _attach_store_entry(
     Entries that would push the frame past the protocol cap are dropped
     too: losing a cache write must never lose the response.
     """
-    from repro.store.entry import entry_payload
-
     entry = capture.build_entry(frame.get("fingerprint", ""), program, report)
     if entry is None:
         response["store_uncacheable"] = capture.reason or "not captured"
@@ -194,9 +211,6 @@ def _serve_request_body(
     budget: Optional[float] = None,
 ) -> Dict[str, Any]:
     """One ``run``/``compile`` request → one response payload."""
-    from repro.passes.session import CompilationSession
-    from repro.robustness.differential import gated_optimize
-
     request_id = frame.get("id")
     op = frame["op"]
     source = frame.get("source", "")  # absent on cached dispatch
@@ -221,11 +235,8 @@ def _serve_request_body(
             # This worker only parses and executes it — no source
             # compile, no optimizer, no chaos (chaos models optimizer
             # bugs and the optimizer never ran here).
-            from repro.ir.parser import parse_ir_program
-            from repro.ir.verifier import verify_program
-
-            program = parse_ir_program(frame.get("ir", ""))
-            verify_program(program)
+            program = ir_parser.parse_ir_program(frame.get("ir", ""))
+            verifier.verify_program(program)
             response["report"] = {
                 "analyzed": 0,
                 "eliminated": int(frame.get("eliminated", 0)),
@@ -256,9 +267,6 @@ def _serve_request_body(
                 # certify is forced on (stored entries must carry
                 # replayable certificates) and the pre-removal state is
                 # captured so the response can carry a store entry.
-                from repro.store.capture import StoreCapture
-                from repro.store.service import certifying_config
-
                 capture = StoreCapture()
                 config = certifying_config(config)
             session = CompilationSession(config=config)
@@ -352,13 +360,13 @@ def main(argv=None) -> int:
             raise _DrainRequested()
 
     try:
-        import signal
-
         signal.signal(signal.SIGTERM, _on_sigterm)
     except (ValueError, OSError):
         pass  # non-main thread (tests driving main() directly)
 
-    stdin = sys.stdin.buffer
+    # A fresh stream over fd 0: a forked worker's inherited ``sys.stdin``
+    # may hold bytes the supervisor read ahead from its own client.
+    stdin = open(0, "rb", closefd=False)
     served = 0
     while True:
         drain["reading"] = True

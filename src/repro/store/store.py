@@ -229,7 +229,7 @@ class CertStore:
         try:
             return self._revalidate_inner(entry, config)
         except Exception as exc:  # zero-trust: reject, don't propagate
-            return _Revalidation(reason=f"replay-error: {exc}")
+            return self._reject(f"replay-error: {exc}")
 
     def _revalidate_inner(self, entry: StoreEntry, config) -> _Revalidation:
         from repro.certify import driver

@@ -146,6 +146,64 @@ join2:
 }"""
 
 
+#: One instruction (or terminator) that reads the unset variable ``q.0``
+#: after ``x.0 := 1``, for every way an instruction reads an operand.
+UNSET_READS = {
+    "add": "w.0 := add q.0, x.0",
+    "sub": "w.0 := sub q.0, x.0",
+    "mul": "w.0 := mul q.0, x.0",
+    "div": "w.0 := div q.0, x.0",
+    "mod": "w.0 := mod q.0, x.0",
+    "cmp": "w.0 := cmp.lt q.0, x.0",
+    "copy": "w.0 := q.0",
+    "newarray": "w.0 := newarray q.0",
+    "arraylen": "w.0 := arraylen q.0",
+    "load-array": "w.0 := load q.0[0]",
+    "load-index": "w.0 := load a.0[q.0]",
+    "store-array": "store q.0[0] := 1",
+    "store-index": "store a.0[q.0] := 1",
+    "store-value": "store a.0[0] := q.0",
+    "checklower": "checklower #1 q.0",
+    "checkupper-array": "checkupper #1 q.0[0]",
+    "checkupper-index": "checkupper #1 a.0[q.0]",
+    "call": "w.0 := call id(q.0)",
+    "branch": "branch q.0 ? b1 : b1",
+    "return": "return q.0",
+}
+
+
+def _unset_read_ir(line: str) -> str:
+    terminator = line.startswith(("branch", "return"))
+    return (
+        "fn main() {\nentry0:\n    a.0 := newarray 4\n    x.0 := 1\n"
+        f"    {line}\n"
+        + ("" if terminator else "    return x.0\n")
+        + ("b1:\n    return x.0\n" if line.startswith("branch") else "")
+        + "}\n\nfn id(p.0) {\nentry0:\n    return p.0\n}"
+    )
+
+
+def _run_both_tiers(text: str):
+    """Each tier's end of the run: its outcome (value, or trap class and
+    message) and every counter the fuzzer compares."""
+    from repro.fuzz.oracle import CODEGEN_COUNTERS
+    from repro.robustness.differential import ExecutionOutcome
+    from repro.runtime.interpreter import Interpreter
+
+    ends = []
+    for tier in (
+        Interpreter(parse_ir_program(text)),
+        compile_to_python(parse_ir_program(text)),
+    ):
+        try:
+            outcome = ExecutionOutcome(value=tier.run("main").value)
+        except MiniJRuntimeError as exc:
+            outcome = ExecutionOutcome.from_trap(exc)
+        counters = {name: getattr(tier.stats, name) for name in CODEGEN_COUNTERS}
+        ends.append((outcome, counters))
+    return ends
+
+
 class TestRuntimeBoundaries:
     def test_interpreter_unknown_function(self):
         program = compile_source("fn main(): int { return 1; }")
@@ -202,22 +260,17 @@ class TestRuntimeBoundaries:
         """Same value or trap (class and message) and every counter
         equal: the generated code compiles a φ that lacks an edge and
         traps only when the run takes that edge."""
-        from repro.fuzz.oracle import CODEGEN_COUNTERS
-        from repro.robustness.differential import ExecutionOutcome
-        from repro.runtime.interpreter import Interpreter
+        interpreted, generated = _run_both_tiers(text)
+        assert interpreted == generated
 
-        ends = []
-        for tier in (
-            Interpreter(parse_ir_program(text)),
-            compile_to_python(parse_ir_program(text)),
-        ):
-            try:
-                outcome = ExecutionOutcome(value=tier.run("main").value)
-            except MiniJRuntimeError as exc:
-                outcome = ExecutionOutcome.from_trap(exc)
-            counters = {name: getattr(tier.stats, name) for name in CODEGEN_COUNTERS}
-            ends.append((outcome, counters))
-        assert ends[0] == ends[1]
+    @pytest.mark.parametrize("line", UNSET_READS.values(), ids=UNSET_READS.keys())
+    def test_unset_read_ends_both_tiers_alike(self, line):
+        """An unset operand traps both tiers with the same message and
+        counters: an arithmetic operand before its cycles are charged, an
+        array operand as "not an array"."""
+        interpreted, generated = _run_both_tiers(_unset_read_ir(line))
+        assert interpreted[0].trap == "MiniJRuntimeError"
+        assert interpreted == generated
 
     def test_codegen_unknown_function(self):
         program = compile_source("fn main(): int { return 1; }")

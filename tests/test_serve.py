@@ -15,7 +15,6 @@ import io
 import os
 import random
 import signal
-import threading
 import time
 
 import pytest
@@ -405,20 +404,21 @@ class TestCrashRecovery:
         sup = Supervisor(config=fast_config(workers=2, deadline=5.0, retries=1))
         sup.start()
         rng = random.Random(1234)
-        stop = threading.Event()
 
-        def killer():
-            while not stop.is_set():
-                stop.wait(rng.uniform(0.0, 0.03))
-                for worker in list(sup.pool):
-                    if rng.random() < 0.5:
-                        try:
-                            os.kill(worker.pid, signal.SIGKILL)
-                        except (ProcessLookupError, OSError):
-                            pass
+        # The killer is a SIGALRM handler, so it runs in the main thread:
+        # the supervisor forks replacements, and a fork while a second
+        # thread runs may deadlock the child.
+        def killer(signum, frame):
+            for worker in list(sup.pool):
+                if rng.random() < 0.5:
+                    try:
+                        os.kill(worker.pid, signal.SIGKILL)
+                    except (ProcessLookupError, OSError):
+                        pass
+            signal.setitimer(signal.ITIMER_REAL, rng.uniform(0.0, 0.03))
 
-        thread = threading.Thread(target=killer, daemon=True)
-        thread.start()
+        previous = signal.signal(signal.SIGALRM, killer)
+        signal.setitimer(signal.ITIMER_REAL, rng.uniform(0.0, 0.03))
         cases = [
             (SUM_SOURCE, None),
             (TRAP_SOURCE, "BoundsCheckError"),
@@ -437,8 +437,8 @@ class TestCrashRecovery:
                     assert response["index"] == baseline["index"]
                     assert response["length"] == baseline["length"]
         finally:
-            stop.set()
-            thread.join(timeout=5)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
             sup.shutdown()
 
     def test_degraded_response_byte_identical_to_unoptimized_interpreter(self):
@@ -965,9 +965,11 @@ class TestWorkerDrain:
 
 class TestWorkerImports:
     def test_worker_leaves_supervisor_and_harness_code_unimported(self):
-        """Every worker start compiles what it imports.  The fault tables
+        """The ``python -m repro.serve.worker`` entry point starts a fresh
+        interpreter that compiles what it imports.  The fault tables
         (loaded only when chaos is armed), the supervisor side and the
-        storm harness are not among them."""
+        storm harness are not among them.  (A forked worker compiles
+        nothing: it holds whatever its supervisor imported.)"""
         import json
         import subprocess
         import sys as _sys
@@ -991,6 +993,97 @@ class TestWorkerImports:
             "repro.serve.chaos",
         }
         assert not loaded & unwanted
+
+
+#: Run in a fresh interpreter: import what ``repro serve`` imports before
+#: it forks a worker, then serve one frame of every kind through the
+#: worker's request handler and print the ``repro`` modules that loaded.
+PRELOAD_SCRIPT = """
+import json, sys
+import repro.cli
+import repro.serve.supervisor
+from repro.serve import worker
+
+source = sys.argv[1]
+before = {name for name in sys.modules if name.startswith("repro")}
+frames = [
+    {"op": "run", "source": source, "cache": "capture", "fingerprint": "f"},
+    {"op": "compile", "source": source, "cache": "capture", "fingerprint": "f"},
+    {"op": "compile", "source": source, "inline": True},
+    {"op": "run", "source": source, "mode": "degraded"},
+]
+responses = []
+for number, frame in enumerate(frames):
+    frame = dict(frame, id=number, fn="main", args=[])
+    responses.append(worker._serve_request(frame, None, False, 1))
+cached = {"op": "run", "id": "c", "fn": "main", "args": [], "mode": "cached",
+          "ir": responses[0]["store_entry"]["ir"], "eliminated": 0}
+responses.append(worker._serve_request(cached, None, False, 1))
+after = {name for name in sys.modules if name.startswith("repro")}
+print(json.dumps({"statuses": [r["status"] for r in responses],
+                  "added": sorted(after - before)}))
+"""
+
+
+class TestForkedPool:
+    """Workers are forks of the supervisor: each holds only its own pipes,
+    is reaped when it ends, and starts with the request path imported."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_worker_holds_only_its_stdio_descriptors(self, supervisor):
+        supervisor.start()
+        assert len(supervisor.pool) == 2
+        for _ in supervisor.pool:
+            assert supervisor.handle_request(
+                {"op": "run", "source": SUM_SOURCE}
+            )["status"] == "ok"
+        for worker in supervisor.pool:
+            assert sorted(os.listdir(f"/proc/{worker.pid}/fd")) == ["0", "1", "2"]
+
+    def test_closing_a_workers_stdin_ends_only_that_worker(self, supervisor):
+        supervisor.start()
+        first, second = supervisor.pool
+        # No sibling holds a copy of the write end, so the worker sees EOF.
+        first._stdin.close()
+        deadline = time.monotonic() + 10.0
+        while first.alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not first.alive()
+        assert second.alive()
+
+    def test_shutdown_reaps_every_worker(self):
+        sup = Supervisor(config=fast_config(workers=2, recycle_after=1))
+        sup.start()
+        pids = {worker.pid for worker in sup.pool}
+        for _ in range(3):
+            assert sup.handle_request({"op": "run", "source": SUM_SOURCE})[
+                "status"
+            ] == "ok"
+            pids.update(worker.pid for worker in sup.pool)
+        sup.shutdown()
+        assert len(pids) >= 5  # two first workers and three recycled
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_preload_covers_the_request_path(self):
+        """Every module a worker's requests load is already imported
+        before the supervisor forks: serving a frame of each kind adds no
+        ``repro`` module to ``sys.modules``."""
+        import json
+        import subprocess
+        import sys as _sys
+
+        env = dict(os.environ)
+        package_root = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(package_root)
+        out = subprocess.run(
+            [_sys.executable, "-c", PRELOAD_SCRIPT, SUM_SOURCE],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        result = json.loads(out.stdout)
+        assert result["statuses"] == ["ok"] * 5
+        assert result["added"] == []
 
 
 # ----------------------------------------------------------------------

@@ -631,6 +631,27 @@ class TestCertificateTable:
         assert "source axiom" in self.forge(tmp_path, mutate, CONGRUENT_SOURCE)
 
 
+class TestReplayError:
+    def test_exception_in_replay_is_a_counted_rejection(self, tmp_path, monkeypatch):
+        """An exception the ladder did not expect is a ``replay-error``
+        rejection, counted like every other rung's."""
+        from repro.certify import driver
+
+        store = store_at(tmp_path)
+        source = next(p for p in CORPUS if p.name == "Sieve").source()
+        _, fingerprint = populate(store, source)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("replay bug")
+
+        monkeypatch.setattr(driver, "replay_function", broken)
+        result = store.load(fingerprint, ABCDConfig())
+        assert not result.hit
+        assert result.reason == "replay-error: replay bug"
+        assert store.counters.get("store.quarantined.replay-error") == 1
+        assert store.counters.get("store.replay_rejected") == 1
+
+
 class TestTableRoundTrip:
     """Decoding the stored table gives back every captured witness, and
     the table never needs more rows than the trees have nodes."""
