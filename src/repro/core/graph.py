@@ -20,12 +20,10 @@ only constraints generated in the check's own block).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A vertex of the inequality graph.
 
     ``kind`` is one of:
@@ -34,6 +32,12 @@ class Node:
     * ``"len"`` — the array-length literal of the SSA array variable
       ``name``;
     * ``"const"`` — the integer constant ``value``.
+
+    A named tuple, so construction, hashing and equality run in C: the
+    solver's memo and active set, every in-edge lookup and the checker's
+    replay probe vertices constantly.  Its hash is the hash of its field
+    tuple, as a frozen dataclass's was, so set and dict orders (and with
+    them proof search and certificate bytes) do not depend on the type.
     """
 
     kind: str
@@ -60,13 +64,13 @@ def const_node(value: int) -> Node:
     return Node("const", "", value)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A difference constraint ``target <= source + weight``.
 
     ``block`` is the label of the basic block whose statement generated the
     constraint (``None`` for synthetic edges such as the const-const
-    completion the solver performs on the fly).
+    completion the solver performs on the fly).  A named tuple like
+    :class:`Node`; ``edge._replace(weight=...)`` derives a variant.
     """
 
     source: Node

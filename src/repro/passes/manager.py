@@ -5,8 +5,15 @@ function, and how it wants to be sandboxed (``snapshot``/``verify``).
 The :class:`PassManager` is the one pass sandbox — snapshot → run →
 verify → rollback — and hands every contained failure to the context's
 :class:`~repro.robustness.guard.PassGuard`, the failure sink.  It also
-keeps the analysis cache honest with one rule: a mutating pass that
-succeeds (or rolls back) drops every cached analysis of its function.
+keeps the analysis cache honest with one rule: a run that can change
+its function (:meth:`Pass.may_change`) drops every cached analysis of
+it, whether it succeeds or rolls back.  A run that cannot change its
+function takes no snapshot and no verify.
+
+The manager records which functions were verified after their last
+change (:attr:`PassManager.verified`; a rollback restores the record
+its snapshot had), so ``CompilationSession.compile`` re-verifies only
+the functions no pass verified since they last changed.
 ``pipeline.py``, the CLI, the differential gate, and the bench harness
 all drive the same pass list through
 :class:`~repro.passes.session.CompilationSession`.  Per-pass wall time,
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.abcd import ABCDConfig, ABCDReport
 from repro.ir.function import Function, Program
@@ -59,6 +66,13 @@ class Pass:
 
     def should_run(self, fn: Optional[Function], ctx: "PassContext") -> bool:
         return True
+
+    def may_change(self, fn: Optional[Function], ctx: "PassContext") -> bool:
+        """Whether this run can change the IR.  Only such a run is
+        snapshotted and verified (as ``snapshot``/``verify`` ask) and drops
+        the function's analyses; by default every run of a mutating pass
+        is one."""
+        return self.mutates
 
     def run(self, fn: Optional[Function], ctx: "PassContext") -> Optional[int]:
         """Apply the pass; returns a change count when meaningful."""
@@ -273,6 +287,9 @@ class PassManager:
 
     def __init__(self, ctx: PassContext) -> None:
         self.ctx = ctx
+        #: Names of the functions whose IR was verified after its last
+        #: change.
+        self.verified: Set[str] = set()
 
     # ------------------------------------------------------------------
     # Drivers.
@@ -309,24 +326,30 @@ class PassManager:
         if not p.should_run(fn, ctx):
             return None
         started = time.perf_counter()
-        snapshot = fn.clone() if p.snapshot else None
+        can_change = p.may_change(fn, ctx)
+        was_verified = fn.name in self.verified
+        snapshot = fn.clone() if can_change and p.snapshot else None
         try:
             result = p.run(fn, ctx)
-            if p.verify:
+            if can_change and p.verify:
                 verify_function(fn)
         except Exception as exc:
             if snapshot is not None:
                 _restore_in_place(fn, snapshot)
-            if p.mutates:
+            if can_change:
                 # A pass may have (re)computed analyses mid-flight against
                 # intermediate CFG states; after a rollback those cached
                 # entries no longer describe the restored function.
                 ctx.analysis.invalidate(fn)
+                # Restored IR is as verified as its snapshot was; IR left
+                # as the failed run had it is not.
+                self._mark(fn, was_verified and snapshot is not None)
             ctx.stats.record(p.name, time.perf_counter() - started, rollback=True)
             ctx.guard.contain(p.name, fn.name, exc)
             return None
-        if p.mutates:
+        if can_change:
             ctx.analysis.invalidate(fn)
+            self._mark(fn, p.verify)
         if ctx.analysis.debug:
             verify_def_use(fn, p.name)
         ctx.stats.record(
@@ -347,21 +370,26 @@ class PassManager:
         if not p.should_run(None, ctx):
             return None
         started = time.perf_counter()
-        snapshot = program.clone() if p.snapshot else None
+        can_change = p.may_change(None, ctx)
+        was_verified = set(self.verified)
+        snapshot = program.clone() if can_change and p.snapshot else None
         try:
             result = p.run(None, ctx)
-            if p.verify:
+            if can_change and p.verify:
                 for fn in program.functions.values():
                     verify_function(fn)
         except Exception as exc:
             if snapshot is not None:
                 _restore_in_place(program, snapshot)
+            if can_change:
+                self.verified = was_verified if snapshot is not None else set()
             ctx.stats.record(p.name, time.perf_counter() - started, rollback=True)
             ctx.guard.contain(p.name, "<program>", exc)
             return None
-        if p.mutates:
+        if can_change:
             # A program transform may touch any function; drop everything.
             ctx.analysis.invalidate_all()
+            self.verified = set(program.functions) if p.verify else set()
         if ctx.analysis.debug:
             for fn in program.functions.values():
                 verify_def_use(fn, p.name)
@@ -371,6 +399,12 @@ class PassManager:
             changed=result if isinstance(result, int) else 0,
         )
         return result
+
+    def _mark(self, fn: Function, verified: bool) -> None:
+        if verified:
+            self.verified.add(fn.name)
+        else:
+            self.verified.discard(fn.name)
 
     # ------------------------------------------------------------------
     # Fixpoint groups.
@@ -382,6 +416,7 @@ class PassManager:
             return 0
         total = 0
         for _ in range(group.max_rounds):
+            was_verified = fn.name in self.verified
             snapshot = fn.clone()
             pass_name = group.name
             round_changes = 0
@@ -400,9 +435,11 @@ class PassManager:
             except Exception as exc:
                 _restore_in_place(fn, snapshot)
                 ctx.analysis.invalidate(fn)
+                self._mark(fn, was_verified)
                 ctx.stats.record(pass_name, 0.0, rollback=True)
                 ctx.guard.contain(pass_name, fn.name, exc)
                 break
+            self._mark(fn, True)
             for name, seconds, changed in member_stats:
                 ctx.stats.record(name, seconds, changed=changed)
             if round_changes:

@@ -8,10 +8,14 @@ CompilationSession` — there is no second hand-rolled pass sequence
 anywhere.
 
 Invalidation follows one rule: a pass declares whether it ``mutates``
-the function, and after a mutating pass the manager drops every cached
-analysis of that function.  ``abcd`` and ``store-capture`` only read the
-IR (``mutates=False``), so the dominator tree and GVN that ``abcd``
-computes are still cached when ``pre`` runs; every other pass mutates.
+the function, and after a run that can change it the manager drops every
+cached analysis of that function.  ``abcd`` and ``store-capture`` only
+read the IR (``mutates=False``), so the dominator tree and GVN that
+``abcd`` computes are still cached when ``pre`` runs; every other pass
+mutates.  ``certify`` narrows that per function
+(:meth:`~repro.passes.manager.Pass.may_change`): it changes only a
+function with a PRE transformation to undo, so only such a function is
+snapshotted and verified around it.
 
 Transformation functions are looked up through their defining modules at
 call time (``opt.optimize_worklist``, not a captured reference) so the
@@ -46,8 +50,8 @@ class EssaConstructionPass(Pass):
     (paper Section 3)."""
 
     name = "essa"
-    # Whole-program verification runs at the end of compilation; a second
-    # per-function verify here would double the cost for nothing.
+    # ``standard-pipeline``'s guard verifies the result, or else
+    # ``compile`` does; a verify here would walk the function twice.
     verify = False
 
     def should_run(self, fn: Function, ctx: PassContext) -> bool:
@@ -162,8 +166,8 @@ class CertifyPass(Pass):
     (the site leaves ``state.to_remove``; a PRE transformation is undone),
     repeated rejections quarantine the function, and strict mode raises
     :class:`~repro.errors.CertificateError`.  Only revocations of PRE
-    transformations mutate the IR, so the manager's snapshot/verify
-    protocol guards exactly that case.
+    transformations mutate the IR, so the manager snapshots and verifies
+    only a function with a PRE transformation to undo.
     """
 
     name = "certify"
@@ -174,6 +178,10 @@ class CertifyPass(Pass):
             and getattr(ctx.config, "certify", False)
             and ("abcd", id(fn)) in ctx.state
         )
+
+    def may_change(self, fn: Function, ctx: PassContext) -> bool:
+        state = ctx.state[("abcd", id(fn))]
+        return any(pre for _, _, pre in state.eliminations())
 
     def run(self, fn: Function, ctx: PassContext) -> int:
         from repro.certify.driver import certify_state

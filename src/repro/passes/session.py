@@ -76,14 +76,17 @@ class CompilationSession:
         inline: bool = False,
     ) -> Program:
         """MiniJ source → e-SSA program, via the registered compile passes
-        (optional inlining, e-SSA construction, the standard opt suite)."""
+        (optional inlining, e-SSA construction, the standard opt suite).
+
+        ``verify`` checks the result: every function that no pass
+        verified since it last changed, and every call target."""
         ast = parse_source(source)
         info = check_program(ast)
         program = lower_program(ast, info)
         manager = PassManager(self._context(program))
         manager.run(default_compile_passes(standard_opts=standard_opts, inline=inline))
         if verify:
-            verify_program(program)
+            verify_program(program, manager.verified)
         return program
 
     def optimize(

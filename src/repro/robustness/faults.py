@@ -82,7 +82,7 @@ def _tighten_all_weights(bundle) -> None:
     for graph in (bundle.upper, bundle.lower):
         for target, edges in graph._in_edges.items():
             graph._in_edges[target] = [
-                dataclasses.replace(edge, weight=edge.weight - 1) for edge in edges
+                edge._replace(weight=edge.weight - 1) for edge in edges
             ]
 
 

@@ -13,10 +13,11 @@ the interpreter exactly:
 * φs are compiled as parallel assignments on each incoming edge
   (the function is SSA-destructed-on-the-fly: the generated code assigns
   φ destinations at the end of each predecessor);
-* on IR the verifier would reject, a read of an unset variable (as an
-  array operand: "not an array") and a φ with no value for the edge
-  taken trap with the interpreter's :class:`MiniJRuntimeError` message
-  and counters, when the run reaches them.
+* an array operand that holds no array (an unset variable or a set
+  non-array value: "not an array"), and on IR the verifier would reject,
+  a read of an unset variable and a φ with no value for the edge taken,
+  trap with the interpreter's :class:`MiniJRuntimeError` message and
+  counters, when the run reaches them.
 
 Differential tests (``tests/test_codegen.py``) run random and corpus
 programs through both tiers and require identical results and counters.
@@ -25,7 +26,7 @@ programs through both tiers and require identical results and counters.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BoundsCheckError, MiniJRuntimeError
 from repro.ir.function import Function, Program
@@ -104,19 +105,19 @@ class _FunctionCompiler:
         self._fn = fn
         self._lines: List[str] = []
         self._indent = 2
-        #: Line number -> the IR variable that line reads as an array.
-        self.array_lines: Dict[int, str] = {}
+        #: Line number -> the IR variable that line reads as an array,
+        #: and whether the line reads it as its index first.
+        self.array_lines: Dict[int, Tuple[str, bool]] = {}
 
     def emit(self, text: str) -> None:
         self._lines.append("    " * self._indent + text)
 
     def _reads_array(self, array: str, index: Optional[Operand] = None) -> None:
         """Mark the next line as reading ``array`` as an array operand:
-        there, a NameError for ``array`` is the interpreter's "not an
-        array" trap, unless ``index``, which the line reads first, is the
-        same variable."""
-        if index != Var(array):
-            self.array_lines[len(self._lines) + 1] = array
+        there, an AttributeError (no ``.data``) is the interpreter's "not
+        an array" trap, and so is a NameError for ``array``, unless
+        ``index``, which the line reads first, is the same variable."""
+        self.array_lines[len(self._lines) + 1] = (array, index == Var(array))
 
     def compile(self) -> str:
         fn = self._fn
@@ -256,13 +257,13 @@ class _FunctionCompiler:
             self._reads_array(instr.array)
             self.emit(
                 f"{_mangle(instr.dest)} = _load("
-                f"{_mangle(instr.array)}, {_operand(instr.index)})"
+                f"{_mangle(instr.array)}.data, {_operand(instr.index)})"
             )
         elif isinstance(instr, ArrayStore):
             self._count("arraystore")
             self._reads_array(instr.array)
             self.emit(
-                f"_store({_mangle(instr.array)}, {_operand(instr.index)}, "
+                f"_store({_mangle(instr.array)}.data, {_operand(instr.index)}, "
                 f"{_operand(instr.value)})"
             )
         elif isinstance(instr, CheckLower):
@@ -356,7 +357,7 @@ class CompiledProgram:
     def __init__(self, program: Program) -> None:
         self.stats = ExecutionStats()
         self._functions: Dict[str, object] = {}
-        self._array_lines: Dict[str, Dict[int, str]] = {}
+        self._array_lines: Dict[str, Dict[int, Tuple[str, bool]]] = {}
         self.sources: Dict[str, str] = {}
         namespace = {
             "_stats": self.stats,
@@ -403,36 +404,51 @@ class CompiledProgram:
             if identifier is None:
                 raise
             name = _unmangle(identifier.group(1))
-            if self._read_as_array(exc.__traceback__, name):
+            _, read = self._array_read(exc.__traceback__)
+            if read == (name, False):
                 message = f"{name!r} is not an array (got None)"
             else:
                 message = f"read of unset variable {name!r}"
             raise MiniJRuntimeError(message) from None
+        except AttributeError as exc:
+            # An array operand holding a set non-array value has no
+            # ``.data``; any other AttributeError is a bug, not a trap.
+            frame, read = self._array_read(exc.__traceback__)
+            if read is None:
+                raise
+            name = read[0]
+            held = frame.f_locals.get(_mangle(name))
+            raise MiniJRuntimeError(
+                f"{name!r} is not an array (got {held!r})"
+            ) from None
         return ExecutionResult(value, self.stats)
 
-    def _read_as_array(self, traceback, name: str) -> bool:
-        """Whether the generated line that raised read ``name`` as an
-        array operand (the innermost frame is the generated function)."""
+    def _array_read(self, traceback):
+        """The innermost frame and the array read its failing line makes
+        (``None`` when it reads none, or is no generated function)."""
         while traceback.tb_next is not None:
             traceback = traceback.tb_next
-        lines = self._array_lines.get(traceback.tb_frame.f_code.co_name, {})
-        return lines.get(traceback.tb_lineno) == name
+        frame = traceback.tb_frame
+        code = frame.f_code
+        if code.co_filename != f"<repro:{code.co_name}>":
+            return frame, None
+        return frame, self._array_lines[code.co_name].get(traceback.tb_lineno)
 
 
-def _checked_load(array: ArrayValue, index: int) -> int:
-    if not 0 <= index < len(array.data):
+def _checked_load(data: List[int], index: int) -> int:
+    if not 0 <= index < len(data):
         raise MiniJRuntimeError(
-            f"UNSOUND: unchecked load at index {index} (length {len(array.data)})"
+            f"UNSOUND: unchecked load at index {index} (length {len(data)})"
         )
-    return array.data[index]
+    return data[index]
 
 
-def _checked_store(array: ArrayValue, index: int, value: int) -> None:
-    if not 0 <= index < len(array.data):
+def _checked_store(data: List[int], index: int, value: int) -> None:
+    if not 0 <= index < len(data):
         raise MiniJRuntimeError(
-            f"UNSOUND: unchecked store at index {index} (length {len(array.data)})"
+            f"UNSOUND: unchecked store at index {index} (length {len(data)})"
         )
-    array.data[index] = value
+    data[index] = value
 
 
 def compile_to_python(program: Program) -> CompiledProgram:

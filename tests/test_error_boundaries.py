@@ -172,6 +172,27 @@ UNSET_READS = {
 }
 
 
+#: One array-reading instruction whose array operand holds a set value
+#: that is no array (``x.0 := 1``), for every instruction that reads one.
+NON_ARRAY_READS = {
+    "arraylen": "w.0 := arraylen x.0",
+    "load": "w.0 := load x.0[0]",
+    "store": "store x.0[0] := 1",
+    # The array operand is read before the (unset) index, as in the
+    # interpreter.
+    "load-before-index": "w.0 := load x.0[q.0]",
+    "checkupper": "checkupper #1 x.0[0]",
+    "checkupper-self-index": "checkupper #1 x.0[x.0]",
+    "checkunsigned": "checkunsigned #1+#2 x.0[0]",
+    "checkunsigned-negative": "checkunsigned #1+#2 x.0[-1]",
+    "speculate-upper": "speculate.upper #1 x.0[0] -> guard 0",
+}
+
+
+def _non_array_read_ir(line: str) -> str:
+    return f"fn main() {{\nentry0:\n    x.0 := 1\n    {line}\n    return x.0\n}}"
+
+
 def _unset_read_ir(line: str) -> str:
     terminator = line.startswith(("branch", "return"))
     return (
@@ -270,6 +291,17 @@ class TestRuntimeBoundaries:
         array operand as "not an array"."""
         interpreted, generated = _run_both_tiers(_unset_read_ir(line))
         assert interpreted[0].trap == "MiniJRuntimeError"
+        assert interpreted == generated
+
+    @pytest.mark.parametrize(
+        "line", NON_ARRAY_READS.values(), ids=NON_ARRAY_READS.keys()
+    )
+    def test_non_array_operand_ends_both_tiers_alike(self, line):
+        """A set value that is no array, read as an array operand, traps
+        both tiers with the interpreter's "not an array (got ...)" and the
+        same counters."""
+        interpreted, generated = _run_both_tiers(_non_array_read_ir(line))
+        assert "is not an array (got " in interpreted[0].trap_message
         assert interpreted == generated
 
     def test_codegen_unknown_function(self):

@@ -27,6 +27,32 @@ class TestNodes:
         assert str(len_node("a.0")) == "len(a.0)"
         assert str(const_node(-1)) == "-1"
 
+    def test_hash_is_the_field_tuple_hash(self):
+        """The hash a frozen dataclass with these fields had: set and dict
+        orders, and so proof search and certificate bytes, stay put."""
+        node = var_node("i.1")
+        assert hash(node) == hash(("var", "i.1", 0))
+        assert hash(const_node(-4)) == hash(("const", "", -4))
+        edge = Edge(node, len_node("a.0"), -1, "b1")
+        assert hash(edge) == hash((node, len_node("a.0"), -1, "b1"))
+        assert hash(Edge(node, node, 0)) == hash((node, node, 0, None))
+
+    def test_repr_text(self):
+        assert repr(var_node("i.1")) == "Node(kind='var', name='i.1', value=0)"
+        assert repr(const_node(3)) == "Node(kind='const', name='', value=3)"
+        edge = Edge(var_node("i.1"), len_node("a.0"), -1, "b1")
+        assert repr(edge) == (
+            "Edge(source=Node(kind='var', name='i.1', value=0), "
+            "target=Node(kind='len', name='a.0', value=0), weight=-1, block='b1')"
+        )
+        assert str(edge) == "len(a.0) <= i.1 + -1"
+
+    def test_replace_derives_a_variant(self):
+        edge = Edge(var_node("i.1"), len_node("a.0"), -1, "b1")
+        tighter = edge._replace(weight=-2)
+        assert tighter == Edge(var_node("i.1"), len_node("a.0"), -2, "b1")
+        assert edge.weight == -1
+
 
 class TestEdges:
     def test_add_and_query_in_edges(self):

@@ -183,22 +183,28 @@ class _Observer(_Noop):
     mutates = False
 
 
+def _manager_over_main():
+    """A pass manager over ``SRC``'s compiled program, and its ``main``."""
+    program = compile_source(SRC)
+    analysis = AnalysisManager()
+    ctx = PassContext(
+        program=program,
+        analysis=analysis,
+        guard=PassGuard(),
+        stats=SessionStats(analysis),
+    )
+    return PassManager(ctx), program.function("main")
+
+
 class TestInvalidationRule:
     """One rule: a mutating pass drops its function's analyses; a pass
     with ``mutates=False`` keeps them."""
 
     def _lookup_after(self, p):
-        program = compile_source(SRC)
-        fn = program.function("main")
-        analysis = AnalysisManager()
-        ctx = PassContext(
-            program=program,
-            analysis=analysis,
-            guard=PassGuard(),
-            stats=SessionStats(analysis),
-        )
+        manager, fn = _manager_over_main()
+        analysis = manager.ctx.analysis
         first = analysis.get("domtree", fn)
-        PassManager(ctx).run_function_pass(p, fn)
+        manager.run_function_pass(p, fn)
         return first, analysis.get("domtree", fn), analysis
 
     def test_mutating_pass_drops_the_cache(self):
@@ -236,6 +242,137 @@ class TestInvalidationRule:
         monkeypatch.setattr(abcd_module, "_guarded_pre", guarded_pre)
         run_benchmark(next(p for p in CORPUS if p.name == "Hanoi"))
         assert deltas and all(delta == (1, 0) for delta in deltas)
+
+
+# ----------------------------------------------------------------------
+# Verified since last change: a function is verified and snapshotted only
+# when it can have changed.
+# ----------------------------------------------------------------------
+
+
+def _count_walks_and_clones(monkeypatch):
+    """Record, per call, the pass running (``None`` outside any pass) and
+    the function name of every verifier walk (``verify_function``, also
+    inside ``verify_program``) and every ``Function.clone``."""
+    from repro.ir import verifier
+    from repro.ir.function import Function
+    from repro.passes import manager
+
+    walks, clones, running = [], [], [None]
+    real_verify, real_clone = verifier.verify_function, Function.clone
+    real_run = manager.PassManager.run_function_pass
+
+    def verify(fn):
+        walks.append((running[-1], fn.name))
+        return real_verify(fn)
+
+    def clone(self):
+        clones.append((running[-1], self.name))
+        return real_clone(self)
+
+    def run_function_pass(self, p, fn):
+        running.append(p.name)
+        try:
+            return real_run(self, p, fn)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(verifier, "verify_function", verify)
+    monkeypatch.setattr(manager, "verify_function", verify)
+    monkeypatch.setattr(Function, "clone", clone)
+    monkeypatch.setattr(manager.PassManager, "run_function_pass", run_function_pass)
+    return walks, clones
+
+
+class _Verified(_Noop):
+    """A sandboxed pass that changes nothing."""
+
+    name = "verified"
+    snapshot = True
+    verify = True
+
+
+class _Failing(_Verified):
+    name = "failing"
+
+    def run(self, fn, ctx):
+        raise RuntimeError("injected")
+
+
+class TestVerifiedSinceLastChange:
+    def test_manager_records_the_last_verify(self):
+        manager, fn = _manager_over_main()
+        assert fn.name not in manager.verified
+        manager.run_function_pass(_Verified(), fn)
+        assert fn.name in manager.verified
+        manager.run_function_pass(_Observer(), fn)  # cannot change fn
+        assert fn.name in manager.verified
+        manager.run_function_pass(_Noop(), fn)  # may change, unverified
+        assert fn.name not in manager.verified
+
+    @pytest.mark.parametrize("verified_before", [False, True])
+    def test_rollback_restores_the_snapshot_flag(self, verified_before):
+        manager, fn = _manager_over_main()
+        if verified_before:
+            manager.run_function_pass(_Verified(), fn)
+        manager.run_function_pass(_Failing(), fn)
+        assert manager.ctx.guard.rollback_count == 1
+        assert (fn.name in manager.verified) is verified_before
+
+    @pytest.mark.parametrize("certify", [False, True], ids=["default", "certify"])
+    def test_corpus_walks_and_clones_per_function(self, monkeypatch, certify):
+        """Per ``compile()`` + ``optimize()``, every corpus function is
+        walked twice (``standard-pipeline``'s guard and ``check-removal``;
+        ``compile`` re-verifies none) and cloned three times (the
+        ``essa``, ``standard-pipeline`` and ``check-removal`` snapshots;
+        ``certify`` has no PRE transformation to undo here)."""
+        walks, clones = _count_walks_and_clones(monkeypatch)
+        for program in CORPUS:
+            del walks[:], clones[:]
+            session = CompilationSession(config=ABCDConfig(certify=certify))
+            compiled = session.compile(program.source())
+            session.optimize(compiled)
+            names = list(compiled.functions)
+            assert sorted(name for _, name in walks) == sorted(names * 2), program.name
+            assert sorted(name for _, name in clones) == sorted(names * 3), program.name
+
+    def test_certify_guards_only_functions_with_pre_transformations(self, monkeypatch):
+        from repro.runtime.profiler import collect_profile
+
+        qsort = next(p for p in CORPUS if p.name == "Qsort")
+        session = CompilationSession(config=ABCDConfig(pre=True, certify=True))
+        program = session.compile(qsort.source())
+        profile = collect_profile(program, "main")
+        walks, clones = _count_walks_and_clones(monkeypatch)
+        report = session.optimize(program, profile=profile)
+        transformed = {a.function for a in report.analyses if a.pre_applied and a.eliminated}
+        assert transformed == {"qsort"}
+        assert [name for pass_name, name in clones if pass_name == "certify"] == ["qsort"]
+        assert [name for pass_name, name in walks if pass_name == "certify"] == ["qsort"]
+
+    def test_rollback_onto_unverified_essa_is_verified_by_compile(self, monkeypatch):
+        """``essa`` is not verified by its pass; when ``standard-pipeline``
+        then rolls back onto its output, ``compile`` still verifies it."""
+        import repro.opt as opt
+        import repro.ssa.essa as essa
+        from repro.errors import IRVerificationError
+        from repro.ir.instructions import Copy, Var
+
+        real = essa.construct_essa
+
+        def construct_with_undefined_use(fn):
+            real(fn)
+            fn.blocks[fn.entry].body.insert(0, Copy("bogus.0", Var("undefined.9")))
+
+        def worklist_raises(fn):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(essa, "construct_essa", construct_with_undefined_use)
+        monkeypatch.setattr(opt, "optimize_worklist", worklist_raises)
+        session = CompilationSession()
+        with pytest.raises(IRVerificationError, match="undefined.9"):
+            session.compile(SRC)
+        assert [f.pass_name for f in session.guard.failures] == ["standard-pipeline"]
 
 
 # ----------------------------------------------------------------------

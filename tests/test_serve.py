@@ -11,6 +11,7 @@ reference interpreter).
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import random
@@ -898,24 +899,33 @@ class TestBreakerPersistence:
 
 
 class TestWorkerDrain:
-    def spawn_worker(self):
+    @contextlib.contextmanager
+    def spawned_worker(self):
+        """A ``python -m repro.serve.worker`` process; on the way out it
+        is killed, reaped, and both of its pipes are closed."""
         import subprocess
         import sys as _sys
 
         env = dict(os.environ)
         package_root = os.path.join(os.path.dirname(__file__), "..", "src")
         env["PYTHONPATH"] = os.path.abspath(package_root)
-        return subprocess.Popen(
+        proc = subprocess.Popen(
             [_sys.executable, "-m", "repro.serve.worker"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,
         )
+        try:
+            yield proc
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdin.close()
+            proc.stdout.close()
 
     def test_sigterm_while_idle_exits_cleanly(self):
-        proc = self.spawn_worker()
-        try:
+        with self.spawned_worker() as proc:
             frame = {"op": "run", "id": "w1", "source": SUM_SOURCE,
                      "fn": "main", "args": [], "mode": "degraded",
                      "fuel": 1_000_000}
@@ -926,12 +936,9 @@ class TestWorkerDrain:
             proc.send_signal(signal.SIGTERM)
             # A clean drain, not a signal death (-SIGTERM).
             assert proc.wait(timeout=10) == 0
-        finally:
-            proc.kill()
 
     def test_sigterm_mid_request_flushes_the_response_first(self):
-        proc = self.spawn_worker()
-        try:
+        with self.spawned_worker() as proc:
             # Handshake: once the first answer is back, main() has
             # installed its drain handler (before that, SIGTERM's default
             # action would kill the worker).
@@ -959,8 +966,6 @@ class TestWorkerDrain:
             assert response["id"] == "w2"
             assert response["value"] == LONG_LOOP_VALUE
             assert proc.wait(timeout=10) == 0
-        finally:
-            proc.kill()
 
 
 class TestWorkerImports:
